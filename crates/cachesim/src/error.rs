@@ -11,7 +11,10 @@ use std::fmt;
 /// points [`Hierarchy::try_from_architecture`](crate::Hierarchy::try_from_architecture)
 /// and
 /// [`Hierarchy::try_with_effective_sharing`](crate::Hierarchy::try_with_effective_sharing)
-/// report them instead.
+/// report them instead. [`Architecture::validate`](palo_arch::Architecture::validate)
+/// rejects every description that raises one of these (checked by
+/// `tests/validate_covers_sim.rs`), so they only arise from descriptions
+/// that were never validated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimConfigError {
     /// The architecture describes fewer than two cache levels; the

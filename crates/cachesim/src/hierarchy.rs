@@ -1003,45 +1003,6 @@ mod tests {
         assert_eq!(h.num_levels(), 2);
     }
 
-    #[test]
-    fn try_from_architecture_accepts_presets() {
-        for arch in
-            [presets::intel_i7_6700(), presets::intel_i7_5930k(), presets::arm_cortex_a15()]
-        {
-            assert!(Hierarchy::try_from_architecture(&arch).is_ok(), "{}", arch.name);
-        }
-    }
-
-    #[test]
-    fn try_from_architecture_rejects_single_level() {
-        let mut arch = presets::intel_i7_6700();
-        arch.caches.truncate(1);
-        assert_eq!(
-            Hierarchy::try_from_architecture(&arch).err(),
-            Some(SimConfigError::TooFewLevels { found: 1 })
-        );
-    }
-
-    #[test]
-    fn try_from_architecture_rejects_odd_line_size() {
-        let mut arch = presets::intel_i7_6700();
-        arch.caches[0].line_size = 48;
-        assert_eq!(
-            Hierarchy::try_from_architecture(&arch).err(),
-            Some(SimConfigError::BadLineSize { line_size: 48 })
-        );
-    }
-
-    #[test]
-    fn try_from_architecture_rejects_zero_ways() {
-        let mut arch = presets::intel_i7_6700();
-        arch.caches[1].associativity = 0;
-        assert!(matches!(
-            Hierarchy::try_from_architecture(&arch),
-            Err(SimConfigError::EmptyLevel { level: 1, .. })
-        ));
-    }
-
     /// The core differential property at the unit level: a strided run
     /// through `access_run` leaves identical statistics to the same lines
     /// pushed one by one through `access`.

@@ -1,12 +1,11 @@
 //! The unified error type of the optimization pipeline.
 //!
-//! Every fallible stage — IR construction, schedule lowering, trace and
-//! compute execution, cache-simulator configuration, the optimizer itself
+//! Every fallible stage — architecture validation, IR construction,
+//! schedule lowering, trace and compute execution, the optimizer itself
 //! — reports through [`PaloError`], so callers of
 //! [`Pipeline::run`](crate::Pipeline::run) handle one type instead of a
 //! zoo of per-crate errors.
 
-use palo_cachesim::SimConfigError;
 use palo_exec::{ExecError, TraceError};
 use palo_ir::IrError;
 use palo_sched::SchedError;
@@ -28,8 +27,6 @@ pub enum PaloError {
     /// Trace-mode execution failed for a reason other than a resource
     /// guard (an internally inconsistent lowered nest).
     Trace(TraceError),
-    /// The cache simulator rejected the architecture description.
-    Sim(SimConfigError),
     /// The architecture description failed validation.
     Arch(String),
     /// The persistent artifact store could not be opened (unwritable
@@ -80,7 +77,6 @@ impl fmt::Display for PaloError {
             PaloError::Sched(e) => write!(f, "schedule error: {e}"),
             PaloError::Exec(e) => write!(f, "execution error: {e}"),
             PaloError::Trace(e) => write!(f, "trace error: {e}"),
-            PaloError::Sim(e) => write!(f, "cache simulator config error: {e}"),
             PaloError::Arch(msg) => write!(f, "invalid architecture: {msg}"),
             PaloError::Store { detail } => write!(f, "artifact store error: {detail}"),
             PaloError::BudgetExceeded { what, limit } => {
@@ -109,7 +105,6 @@ impl Error for PaloError {
             PaloError::Sched(e) => Some(e),
             PaloError::Exec(e) => Some(e),
             PaloError::Trace(e) => Some(e),
-            PaloError::Sim(e) => Some(e),
             _ => None,
         }
     }
@@ -130,12 +125,6 @@ impl From<SchedError> for PaloError {
 impl From<ExecError> for PaloError {
     fn from(e: ExecError) -> Self {
         PaloError::Exec(e)
-    }
-}
-
-impl From<SimConfigError> for PaloError {
-    fn from(e: SimConfigError) -> Self {
-        PaloError::Sim(e)
     }
 }
 

@@ -32,7 +32,6 @@ use crate::pipeline::{
 };
 use crate::search::SearchStats;
 use palo_arch::Architecture;
-use palo_cachesim::Hierarchy;
 use palo_ir::LoopNest;
 use palo_sched::{LoweredNest, Schedule};
 use std::sync::Arc;
@@ -83,19 +82,18 @@ impl std::fmt::Debug for Session {
 
 impl Session {
     /// Validates `arch`, resolves the cost model once, and opens an
-    /// empty artifact cache.
+    /// empty artifact cache. No simulator state is allocated: the only
+    /// cache hierarchy a session builds is the one a `simulate` pass
+    /// runs on.
     ///
     /// # Errors
     ///
-    /// [`PaloError::Arch`] for an inconsistent architecture description,
-    /// the simulator's rejection when the hierarchy cannot be modeled,
-    /// or [`PaloError::Store`] when the configured cache directory
-    /// cannot be opened.
+    /// [`PaloError::Arch`] for an inconsistent architecture description
+    /// (which covers every description the cache simulator cannot
+    /// model), or [`PaloError::Store`] when the configured cache
+    /// directory cannot be opened.
     pub fn new(arch: &Architecture, config: PipelineConfig) -> Result<Self, PaloError> {
         arch.validate().map_err(PaloError::Arch)?;
-        // Reject architectures the simulator cannot model before any
-        // stage constructs a hierarchy (which would panic).
-        Hierarchy::try_from_architecture(arch)?;
         let resolved = model::resolve(&config.optimizer, arch);
         let sim_gate = SimGate::new(config.max_concurrent_sims);
         let cache = ArtifactCache::with_config(&config.cache)?;

@@ -181,8 +181,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// As for [`Session::new`]: an invalid architecture or a hierarchy
-    /// the simulator cannot model.
+    /// As for [`Session::new`]: an invalid architecture description
+    /// or an unopenable cache directory.
     pub fn start(
         arch: &palo_arch::Architecture,
         config: ServeConfig,
