@@ -47,7 +47,7 @@ use crate::error::PaloError;
 use crate::fingerprint::Fingerprint;
 use crate::model::ResolvedModel;
 use crate::pipeline::PipelineConfig;
-use crate::store::{ArtifactStore, CacheConfig, StoredArtifact, TierStats, TieredStore};
+use crate::store::{ArtifactStore, CacheConfig, TierStats, TieredStore};
 use palo_arch::Architecture;
 use palo_codec::{frame, Codec};
 use std::cell::{Cell, RefCell};
@@ -296,13 +296,15 @@ impl CacheStats {
 /// The session's content-addressed artifact cache: the typed front of
 /// the [`TieredStore`].
 ///
-/// Artifacts live in the store as [`StoredArtifact`]s — the canonical
-/// framed encoding plus, in memory, the decoded `Arc` — so a warm
-/// in-memory hit is an `Arc` clone, a disk hit decodes once and is
-/// promoted, and a cold run computes and writes through. The pass name
-/// and version are stamped in every frame header and checked on every
-/// disk-served hit; any mismatch or decode failure counts an anomaly,
-/// heals the entry, and degrades to a miss.
+/// Artifacts live in every tier as
+/// [`StoredArtifact`](crate::store::StoredArtifact)s — the canonical
+/// framed encoding and nothing else — so each cached artifact is held
+/// once, and a memory tier's byte capacity bounds what it really keeps.
+/// A cold run computes and writes through. Every hit, from memory or
+/// from disk, takes the same path: the pass name and version stamped in
+/// the frame header are checked against the requesting pass, and the
+/// payload is decoded into a fresh `Arc`. Any mismatch or decode failure
+/// counts an anomaly, heals the entry, and degrades to a miss.
 #[derive(Debug)]
 pub struct ArtifactCache {
     store: TieredStore,
@@ -364,7 +366,7 @@ impl ArtifactCache {
 
     /// The artifact under `key`, if a valid one is cached for this
     /// `(pass, pass_version)`. Counts a hit, a miss, or an anomaly.
-    pub fn get<T: Codec + Send + Sync + 'static>(
+    pub fn get<T: Codec>(
         &self,
         key: Fingerprint,
         pass: &str,
@@ -374,24 +376,9 @@ impl ArtifactCache {
             self.count_miss();
             return None;
         };
-        if let Some(value) = &stored.value {
-            // A memory-tier hit: the decoded artifact is already shared.
-            return match value.clone().downcast::<T>() {
-                Ok(hit) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(hit)
-                }
-                Err(_) => {
-                    // Unreachable while keys fold pass identity; healed
-                    // as an anomaly if it ever happens.
-                    self.count_anomaly(key);
-                    None
-                }
-            };
-        }
-        // A disk-tier hit: validate the stamped header against the
-        // requesting pass, decode once, promote.
-        let decoded = match frame::decode_frame(&stored.bytes) {
+        // Every hit, from either tier, takes one path: check the stamped
+        // header against the requesting pass, then decode.
+        let decoded = match frame::decode_frame(&stored) {
             Ok(f) if f.pass == pass && f.pass_version == pass_version => {
                 T::decode_from_slice(f.payload).ok()
             }
@@ -399,13 +386,8 @@ impl ArtifactCache {
         };
         match decoded {
             Some(artifact) => {
-                let artifact = Arc::new(artifact);
-                self.store.promote(
-                    key,
-                    StoredArtifact { value: Some(artifact.clone()), bytes: stored.bytes },
-                );
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(artifact)
+                Some(Arc::new(artifact))
             }
             None => {
                 self.count_anomaly(key);
@@ -416,15 +398,17 @@ impl ArtifactCache {
 
     /// Stores `artifact` under `key`, framed as `(pass, pass_version)`,
     /// writing through every tier.
-    pub fn insert<T: Codec + Send + Sync + 'static>(
+    pub fn insert<T: Codec>(
         &self,
         key: Fingerprint,
         pass: &str,
         pass_version: u32,
-        artifact: Arc<T>,
+        artifact: &T,
     ) {
-        let bytes = frame::encode_frame(pass, pass_version, &artifact.encode_to_vec());
-        self.store.put(key, StoredArtifact { value: Some(artifact), bytes: bytes.into() });
+        self.store.put(
+            key,
+            frame::encode_frame(pass, pass_version, &artifact.encode_to_vec()).into(),
+        );
     }
 
     /// Counts one cache-bypassed request.
@@ -469,7 +453,7 @@ mod tests {
     fn cache_round_trips_and_counts() {
         let cache = ArtifactCache::new();
         assert!(cache.get::<String>(key(1), "p", 1).is_none());
-        cache.insert(key(1), "p", 1, Arc::new("artifact".to_string()));
+        cache.insert(key(1), "p", 1, &"artifact".to_string());
         assert_eq!(*cache.get::<String>(key(1), "p", 1).unwrap(), "artifact");
         cache.count_bypass();
         let s = cache.stats();
@@ -482,7 +466,7 @@ mod tests {
     #[test]
     fn mismatched_type_is_healed_as_an_anomaly() {
         let cache = ArtifactCache::new();
-        cache.insert(key(2), "p", 1, Arc::new(7u64));
+        cache.insert(key(2), "p", 1, &7u64);
         assert!(cache.get::<String>(key(2), "p", 1).is_none());
         let s = cache.stats();
         assert_eq!((s.anomalies, s.misses), (1, 1));
@@ -491,20 +475,20 @@ mod tests {
     }
 
     #[test]
-    fn a_disk_served_artifact_decodes_promotes_and_replays() {
+    fn a_disk_served_artifact_refills_memory_and_replays() {
         let root =
-            std::env::temp_dir().join(format!("palo-cache-promote-{}", std::process::id()));
+            std::env::temp_dir().join(format!("palo-cache-refill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let config = CacheConfig { dir: Some(root.clone()), ..CacheConfig::default() };
 
         let cold = ArtifactCache::with_config(&config).unwrap();
-        cold.insert(key(3), "p", 2, Arc::new(41u64));
+        cold.insert(key(3), "p", 2, &41u64);
         drop(cold);
 
         let warm = ArtifactCache::with_config(&config).unwrap();
         assert_eq!(*warm.get::<u64>(key(3), "p", 2).unwrap(), 41);
         assert_eq!(warm.stats().disk.hits, 1);
-        // Promoted: the second hit is served by the memory tier.
+        // Refilled: the second hit is served by the memory tier.
         assert_eq!(*warm.get::<u64>(key(3), "p", 2).unwrap(), 41);
         assert_eq!(warm.stats().disk.hits, 1);
         assert_eq!(warm.stats().hits, 2);
@@ -512,22 +496,30 @@ mod tests {
     }
 
     #[test]
-    fn a_pass_version_bump_invalidates_disk_artifacts() {
+    fn a_pass_version_bump_invalidates_artifacts_in_either_tier() {
         let root =
             std::env::temp_dir().join(format!("palo-cache-version-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let config = CacheConfig { dir: Some(root.clone()), ..CacheConfig::default() };
+        let disk = CacheConfig { dir: Some(root.clone()), ..CacheConfig::default() };
+        for config in [disk, CacheConfig::default()] {
+            let _ = std::fs::remove_dir_all(&root);
+            let cold = ArtifactCache::with_config(&config).unwrap();
+            cold.insert(key(4), "p", 1, &9u64);
+            // With a disk tier the stale frame is read by a fresh cache;
+            // without one, by the cache that wrote it.
+            let warm = if config.dir.is_some() {
+                drop(cold);
+                ArtifactCache::with_config(&config).unwrap()
+            } else {
+                cold
+            };
 
-        let cold = ArtifactCache::with_config(&config).unwrap();
-        cold.insert(key(4), "p", 1, Arc::new(9u64));
-        drop(cold);
-
-        // Same key, newer pass version: the stale frame is an anomaly,
-        // healed and served as a miss.
-        let warm = ArtifactCache::with_config(&config).unwrap();
-        assert!(warm.get::<u64>(key(4), "p", 2).is_none());
-        let s = warm.stats();
-        assert_eq!((s.anomalies, s.misses, s.hits), (1, 1, 0));
+            // Same key, newer pass version: the stale frame is an anomaly,
+            // healed and served as a miss.
+            assert!(warm.get::<u64>(key(4), "p", 2).is_none());
+            let s = warm.stats();
+            assert_eq!((s.anomalies, s.misses, s.hits), (1, 1, 0), "{config:?}");
+            assert!(warm.get::<u64>(key(4), "p", 1).is_none(), "the stale entry is gone");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -539,8 +531,8 @@ mod tests {
             ..CacheConfig::default()
         };
         let cache = ArtifactCache::with_config(&config).unwrap();
-        cache.insert(key(5), "p", 1, Arc::new(5u64));
-        cache.insert(key(6), "p", 1, Arc::new(6u64));
+        cache.insert(key(5), "p", 1, &5u64);
+        cache.insert(key(6), "p", 1, &6u64);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().mem.evictions, 1);
         // The survivor is intact; the evictee is a miss, never garbage.

@@ -173,7 +173,7 @@ impl Session {
         let run = pass.run(&cx, input);
         ctl.record_pass(pass.name(), t0.elapsed(), false);
         let artifact = Arc::new(run?);
-        self.cache.insert(key, pass.name(), pass.version(), artifact.clone());
+        self.cache.insert(key, pass.name(), pass.version(), &*artifact);
         Ok(artifact)
     }
 

@@ -108,7 +108,7 @@ impl ArtifactStore for DiskStore {
             return None;
         }
         self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        Some(StoredArtifact { value: None, bytes: bytes.into() })
+        Some(bytes.into())
     }
 
     fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
@@ -129,10 +129,8 @@ impl ArtifactStore for DiskStore {
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed)
         ));
-        if fs::write(&tmp, &artifact.bytes).is_ok() && fs::rename(&tmp, &path).is_ok() {
-            self.counters
-                .bytes_written
-                .fetch_add(artifact.bytes.len() as u64, Ordering::Relaxed);
+        if fs::write(&tmp, &artifact).is_ok() && fs::rename(&tmp, &path).is_ok() {
+            self.counters.bytes_written.fetch_add(artifact.len() as u64, Ordering::Relaxed);
         } else {
             let _ = fs::remove_file(&tmp);
         }
@@ -176,7 +174,7 @@ mod tests {
     }
 
     fn framed(payload: &[u8]) -> StoredArtifact {
-        StoredArtifact { value: None, bytes: frame::encode_frame("test", 1, payload).into() }
+        frame::encode_frame("test", 1, payload).into()
     }
 
     #[test]
@@ -186,7 +184,7 @@ mod tests {
         assert!(store.get(key(0xabcd)).is_none());
         store.put(key(0xabcd), framed(b"payload"));
         let got = store.get(key(0xabcd)).unwrap();
-        assert_eq!(frame::decode_frame(&got.bytes).unwrap().payload, b"payload");
+        assert_eq!(frame::decode_frame(&got).unwrap().payload, b"payload");
         // The path is sharded on the first two hex digits of the key.
         assert!(root.join("00").exists(), "fingerprint 0xabcd shards under 00…");
         assert_eq!(store.len(), 1);

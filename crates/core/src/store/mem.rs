@@ -35,7 +35,7 @@ impl ArtifactStore for MemStore {
     }
 
     fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
-        self.counters.bytes_written.fetch_add(artifact.bytes.len() as u64, Ordering::Relaxed);
+        self.counters.bytes_written.fetch_add(artifact.len() as u64, Ordering::Relaxed);
         if let Ok(mut map) = self.map.lock() {
             map.insert(key, artifact);
         }
@@ -108,7 +108,7 @@ impl BoundedMemStore {
         while self.over_capacity(inner) {
             let Some(victim) = inner.policy.victim() else { break };
             if let Some(gone) = inner.map.remove(&victim) {
-                inner.bytes = inner.bytes.saturating_sub(gone.bytes.len() as u64);
+                inner.bytes = inner.bytes.saturating_sub(gone.len() as u64);
                 self.counters.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -132,14 +132,14 @@ impl ArtifactStore for BoundedMemStore {
     }
 
     fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
-        self.counters.bytes_written.fetch_add(artifact.bytes.len() as u64, Ordering::Relaxed);
+        self.counters.bytes_written.fetch_add(artifact.len() as u64, Ordering::Relaxed);
         if let Ok(mut inner) = self.inner.lock() {
-            let added = artifact.bytes.len() as u64;
+            let added = artifact.len() as u64;
             match inner.map.insert(key, artifact) {
                 Some(old) => {
                     // Same key → same content hash → same bytes; treat the
                     // rewrite as a touch.
-                    inner.bytes = inner.bytes.saturating_sub(old.bytes.len() as u64) + added;
+                    inner.bytes = inner.bytes.saturating_sub(old.len() as u64) + added;
                     inner.policy.on_hit(key);
                 }
                 None => {
@@ -154,7 +154,7 @@ impl ArtifactStore for BoundedMemStore {
     fn remove(&self, key: Fingerprint) {
         if let Ok(mut inner) = self.inner.lock() {
             if let Some(gone) = inner.map.remove(&key) {
-                inner.bytes = inner.bytes.saturating_sub(gone.bytes.len() as u64);
+                inner.bytes = inner.bytes.saturating_sub(gone.len() as u64);
                 inner.policy.on_remove(key);
             }
         }
@@ -172,14 +172,13 @@ impl ArtifactStore for BoundedMemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn key(n: u128) -> Fingerprint {
         Fingerprint(palo_ir::Digest(n))
     }
 
     fn artifact(len: usize) -> StoredArtifact {
-        StoredArtifact { value: None, bytes: vec![0u8; len].into() }
+        vec![0u8; len].into()
     }
 
     #[test]
@@ -187,7 +186,7 @@ mod tests {
         let store = MemStore::new();
         assert!(store.get(key(1)).is_none());
         store.put(key(1), artifact(10));
-        assert_eq!(store.get(key(1)).unwrap().bytes.len(), 10);
+        assert_eq!(store.get(key(1)).unwrap().len(), 10);
         store.remove(key(1));
         assert!(store.get(key(1)).is_none());
         let s = store.tier_stats();
@@ -227,15 +226,5 @@ mod tests {
         store.put(key(1), artifact(80));
         assert_eq!(store.len(), 1, "no eviction: 80 bytes live, not 160");
         assert_eq!(store.tier_stats().evictions, 0);
-    }
-
-    #[test]
-    fn stored_value_survives_the_round_trip() {
-        let store = MemStore::new();
-        let arc: Arc<dyn std::any::Any + Send + Sync> = Arc::new(42u64);
-        store.put(key(5), StoredArtifact { value: Some(arc), bytes: vec![1, 2].into() });
-        let got = store.get(key(5)).unwrap();
-        let v = got.value.unwrap().downcast::<u64>().unwrap();
-        assert_eq!(*v, 42);
     }
 }

@@ -15,7 +15,8 @@
 //!   as errors.
 //!
 //! [`TieredStore`] composes a memory tier over an optional disk tier as
-//! a read-through/write-through cache with promotion on disk hits.
+//! a read-through/write-through cache; a disk hit refills the memory
+//! tier.
 //!
 //! # The bit-identity invariant
 //!
@@ -36,35 +37,17 @@ pub use policy::{CachePolicy, Lru, ParsePolicyKindError, PolicyKind, Slru, TwoQ}
 pub use tiered::TieredStore;
 
 use crate::fingerprint::Fingerprint;
-use std::any::Any;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One cached artifact as a store holds it: the canonical framed bytes,
-/// plus (for memory tiers) the already-decoded value so warm hits never
-/// re-decode.
+/// One cached artifact as a store holds it: its canonical
+/// [`frame`](palo_codec::frame) — header and payload — and nothing else.
 ///
-/// `bytes` is always the full [`frame`](palo_codec::frame) — header and
-/// payload — so spilling to disk is a plain byte write and byte-capacity
-/// accounting matches what the disk tier would store.
-#[derive(Clone)]
-pub struct StoredArtifact {
-    /// The decoded artifact, type-erased. `None` when the entry was read
-    /// from disk and not yet decoded by the typed layer.
-    pub value: Option<Arc<dyn Any + Send + Sync>>,
-    /// The framed encoding (header + payload).
-    pub bytes: Arc<[u8]>,
-}
-
-impl std::fmt::Debug for StoredArtifact {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoredArtifact")
-            .field("decoded", &self.value.is_some())
-            .field("bytes", &self.bytes.len())
-            .finish()
-    }
-}
+/// Every tier holds the same bytes, so spilling to disk is a plain byte
+/// write and a memory tier's byte capacity bounds exactly what it keeps.
+/// The typed layer checks the header and decodes on every hit.
+pub type StoredArtifact = Arc<[u8]>;
 
 /// Monotonic counters of one store tier, snapshotted into
 /// [`CacheStats`](crate::CacheStats).

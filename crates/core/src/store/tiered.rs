@@ -9,9 +9,9 @@ use crate::store::{
 
 /// A memory tier over an optional disk tier.
 ///
-/// * `get` reads through: a memory miss falls to disk; a disk hit is
-///   returned with `value: None` (encoded bytes only) for the typed
-///   layer to decode and [`promote`](TieredStore::promote);
+/// * `get` reads through: a memory miss falls to disk, and a disk hit
+///   refills the memory tier, so the next hit on that key stays in
+///   memory;
 /// * `put` writes through: every new artifact lands in both tiers, so a
 ///   future process starts warm even if the memory tier evicts it.
 #[derive(Debug)]
@@ -63,13 +63,6 @@ impl TieredStore {
         TieredStore { mem: MemTier::Unbounded(MemStore::new()), disk: None }
     }
 
-    /// Re-stores a disk-served artifact into the memory tier with its
-    /// decoded value attached, so subsequent hits skip the decode. Does
-    /// not touch the disk tier (the entry is already there).
-    pub fn promote(&self, key: Fingerprint, artifact: StoredArtifact) {
-        self.mem.as_store().put(key, artifact);
-    }
-
     /// Lifetime counters of the memory tier.
     pub fn mem_stats(&self) -> TierStats {
         self.mem.as_store().tier_stats()
@@ -93,10 +86,13 @@ impl TieredStore {
 
 impl ArtifactStore for TieredStore {
     fn get(&self, key: Fingerprint) -> Option<StoredArtifact> {
-        if let Some(hit) = self.mem.as_store().get(key) {
+        let mem = self.mem.as_store();
+        if let Some(hit) = mem.get(key) {
             return Some(hit);
         }
-        self.disk.as_ref()?.get(key)
+        let hit = self.disk.as_ref()?.get(key)?;
+        mem.put(key, hit.clone());
+        Some(hit)
     }
 
     fn put(&self, key: Fingerprint, artifact: StoredArtifact) {
@@ -137,7 +133,7 @@ mod tests {
     }
 
     fn framed(payload: &[u8]) -> StoredArtifact {
-        StoredArtifact { value: None, bytes: frame::encode_frame("test", 1, payload).into() }
+        frame::encode_frame("test", 1, payload).into()
     }
 
     fn tmp_root(tag: &str) -> PathBuf {
@@ -173,8 +169,14 @@ mod tests {
 
         // 1 is gone from memory but read through from disk.
         let got = store.get(key(1)).expect("disk must still hold the evicted entry");
-        assert!(got.value.is_none(), "a disk hit serves bytes, not a decoded value");
-        assert_eq!(frame::decode_frame(&got.bytes).unwrap().payload, b"one");
+        assert_eq!(frame::decode_frame(&got).unwrap().payload, b"one");
+        assert_eq!(store.disk_stats().hits, 1);
+
+        // The disk hit refilled the memory tier: the next lookup of 1 is
+        // a memory hit and leaves the disk tier alone.
+        let hits = store.mem_stats().hits;
+        assert_eq!(store.get(key(1)).as_deref(), Some(&*got));
+        assert_eq!(store.mem_stats().hits, hits + 1);
         assert_eq!(store.disk_stats().hits, 1);
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -19,8 +19,8 @@
 //! artifact-cache counter movement. A rejection is typed
 //! ([`ErrorKind`]), never a dropped line.
 
-use crate::json::{push_json_f64, push_json_str, Json};
 use crate::shed::{Fidelity, ShedLevel};
+use palo_codec::json::{push_json_f64, push_json_str, Json};
 use palo_core::{CacheStats, FaultPlan, Priority, RunOverrides};
 use std::time::Duration;
 

@@ -13,7 +13,7 @@
 
 use palo::arch::presets;
 use palo::codec::frame;
-use palo::core::store::{ArtifactStore, DiskStore, StoredArtifact};
+use palo::core::store::{ArtifactStore, DiskStore};
 use palo::core::{CacheConfig, PipelineConfig, PolicyKind, Session};
 use palo::ir::{DType, Digest, LoopNest, NestBuilder};
 use std::path::{Path, PathBuf};
@@ -216,10 +216,10 @@ fn concurrent_same_key_writers_are_miss_or_hit_never_an_error() {
             let bytes = Arc::clone(&bytes);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
-                    store.put(key, StoredArtifact { value: None, bytes: bytes.clone() });
+                    store.put(key, bytes.clone());
                     if let Some(got) = store.get(key) {
                         // Anything served must be the one true encoding.
-                        let f = frame::decode_frame(&got.bytes)
+                        let f = frame::decode_frame(&got)
                             .expect("a served entry is always a complete frame");
                         assert_eq!(f.pass, "race");
                         assert_eq!(f.payload.len(), 256);
@@ -236,7 +236,7 @@ fn concurrent_same_key_writers_are_miss_or_hit_never_an_error() {
     // tripped the corruption detector.
     let survivor = DiskStore::open(&root).expect("open must succeed");
     let got = survivor.get(key).expect("the key must have landed");
-    assert_eq!(frame::decode_frame(&got.bytes).expect("valid").payload, &payload[..]);
+    assert_eq!(frame::decode_frame(&got).expect("valid").payload, &payload[..]);
     for store in &stores {
         assert_eq!(store.anomalies(), 0, "racing identical writers is not corruption");
     }
