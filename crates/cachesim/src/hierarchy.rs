@@ -3,7 +3,7 @@
 use crate::cache::{AccessOutcome, Cache, Eviction};
 use crate::error::SimConfigError;
 use crate::stats::HierarchyStats;
-use crate::strategy::{unit_for, PrefetchSnap, Prefetcher};
+use crate::strategy::PrefetchUnit;
 use palo_arch::Architecture;
 
 /// Number of cache levels the fused lookup-victim path keeps on the
@@ -11,10 +11,10 @@ use palo_arch::Architecture;
 /// fill. Every real architecture has at most three levels.
 const FUSED_LEVELS: usize = 8;
 
-/// The parked-frontier predicate of a ramp-capable prefetcher
-/// ([`Prefetcher::ramp_state`]) computed from the run engine's local ramp
-/// mirror: every further expected feed then pushes exactly one line (the
-/// new frontier) and preserves `r`.
+/// The parked-frontier predicate of a locked stride-table stream
+/// (`StridePrefetcher::ramp_state`) computed from the run engine's local
+/// ramp mirror: every further expected feed then pushes exactly one line
+/// (the new frontier) and preserves `r`.
 #[inline]
 fn parked_from(r: i64, st_abs: u64, limit: u64, degree: u32) -> bool {
     degree > 0
@@ -148,8 +148,8 @@ impl PrefetchThrottle {
 #[derive(Debug)]
 pub(crate) struct HierSnap {
     levels: Vec<LevelSnap>,
-    /// One state image per prefetcher unit, level order.
-    prefs: Vec<PrefetchSnap>,
+    /// A clone of every prefetcher unit, level order.
+    prefs: Vec<PrefetchUnit>,
     throttle: PrefetchThrottle,
     stats: HierarchyStats,
 }
@@ -183,8 +183,9 @@ pub struct Hierarchy {
     latencies: Vec<f64>,
     line_bits: u32,
     /// One prefetcher unit per cache level (inert where the config has
-    /// none), built by [`unit_for`] from the architecture description.
-    units: Vec<Box<dyn Prefetcher>>,
+    /// none), built by [`PrefetchUnit::new`] from the architecture
+    /// description.
+    units: Vec<PrefetchUnit>,
     throttle: PrefetchThrottle,
     stats: HierarchyStats,
     replay: ReplayStats,
@@ -287,11 +288,11 @@ impl Hierarchy {
             caches.push(Cache::new(sets, ways));
             latencies.push(level.latency_cycles);
         }
-        let units: Vec<Box<dyn Prefetcher>> = arch
+        let units = arch
             .caches
             .iter()
             .enumerate()
-            .map(|(k, level)| unit_for(k, &level.prefetcher))
+            .map(|(k, level)| PrefetchUnit::new(k, &level.prefetcher))
             .collect();
         let n = caches.len();
         Ok(Hierarchy {
@@ -470,7 +471,7 @@ impl Hierarchy {
         let mut units = std::mem::take(&mut self.units);
         let mut buf = std::mem::take(&mut self.pf_buf);
         for (k, unit) in units.iter_mut().enumerate() {
-            self.observe_unit(k, unit.as_mut(), line, &mut buf);
+            self.observe_unit(k, unit, line, &mut buf);
         }
         self.pf_buf = buf;
         self.units = units;
@@ -482,7 +483,7 @@ impl Hierarchy {
     fn observe_unit(
         &mut self,
         k: usize,
-        unit: &mut dyn Prefetcher,
+        unit: &mut PrefetchUnit,
         line: u64,
         buf: &mut Vec<u64>,
     ) {
@@ -493,10 +494,10 @@ impl Hierarchy {
 
     /// The run-compressed hot loop: same per-line transition as
     /// [`Hierarchy::access_line`], plus an expected-stream lock that
-    /// bypasses the level-1 prefetcher's table scan while a lower-indexed
-    /// stream provably cannot capture the run's lines. Units at other
-    /// levels take the plain per-line observe path (cheap: they are
-    /// table-free or inert on every preset).
+    /// bypasses the level-1 stride table's scan while a lower-indexed
+    /// stream provably cannot capture the run's lines. Table-free units,
+    /// and units at other levels, take the plain per-line observe path
+    /// (cheap: they are table-free or inert on every preset).
     fn access_run_fast(&mut self, run: &AccessRun) {
         let write = run.kind == AccessKind::Store;
         let stride = run.stride_lines;
@@ -519,14 +520,10 @@ impl Hierarchy {
         // after full-path feeds.
         let mut parked = false;
         // Exact local mirror of the locked stream's ramp state (see
-        // [`Prefetcher::ramp_state`]): `ramp_r` is the signed frontier
+        // `StridePrefetcher::ramp_state`): `ramp_r` is the signed frontier
         // run-ahead, updated arithmetically on fast-path feeds and
         // re-read after full-path feeds, so both fast-feed regime checks
-        // run without touching the stream table. `has_ramp` is whether
-        // the locked unit exposes a ramp at all — strategies that keep
-        // the default `None` still lock, but every feed takes the
-        // full-transition path.
-        let mut has_ramp = false;
+        // run without touching the stream table.
         let mut ramp_r: i64 = 0;
         let mut ramp_limit: u64 = 0;
         let mut degree: u32 = 0;
@@ -576,81 +573,67 @@ impl Hierarchy {
                 // Level-0 unit: plain per-miss observe (next-line and
                 // adjacent-pair units are O(1) and table-free).
                 if let Some(u0) = units.first_mut() {
-                    self.observe_unit(0, u0.as_mut(), line, &mut buf);
+                    self.observe_unit(0, u0, line, &mut buf);
                 }
-                // Level-1 unit: the expected-stream lock.
-                if let Some(p) = units.get_mut(1).map(Box::as_mut) {
-                    if p.disabled() {
-                        p.tick(1);
-                    } else {
-                        match locked {
-                            Some(f) if safe_left > 0 && line == expect_next => {
-                                safe_left -= 1;
-                                expect_next = line.wrapping_add_signed(stride);
-                                // Ramp span: frontier lead gained per
-                                // full-degree feed.
-                                let span =
-                                    st_abs.saturating_mul(u64::from(degree).saturating_sub(1));
-                                if parked {
-                                    let pline = p.feed_parked(f, line);
-                                    self.issue_prefetches(1, std::slice::from_ref(&pline));
-                                } else if has_ramp
-                                    && ramp_r >= st_abs as i64
-                                    && (ramp_r as u64).saturating_add(span) <= ramp_limit
-                                    && self.throttle.denies_run(degree)
-                                {
-                                    // Exactly `degree` pushes, all denied:
-                                    // O(1) transition, nothing issued.
-                                    p.feed_denied(f, line);
-                                    self.throttle.consume_denied(degree);
-                                    ramp_r += span as i64;
-                                    parked = parked_from(ramp_r, st_abs, ramp_limit, degree);
-                                } else {
-                                    buf.clear();
-                                    p.observe_expected(f, line, &mut buf);
-                                    if has_ramp {
-                                        if let Some((r, _, _)) = p.ramp_state(f) {
-                                            ramp_r = r;
-                                        }
-                                        parked =
-                                            parked_from(ramp_r, st_abs, ramp_limit, degree);
-                                    }
-                                    if !buf.is_empty() {
-                                        self.issue_prefetches(1, &buf);
-                                    }
-                                }
-                            }
-                            _ => {
+                // Level-1 unit: a stride table takes the expected-stream
+                // lock; only a table ever reports a stream to lock onto.
+                match units.get_mut(1) {
+                    Some(PrefetchUnit::Table(p)) => match locked {
+                        Some(f) if safe_left > 0 && line == expect_next => {
+                            safe_left -= 1;
+                            expect_next = line.wrapping_add_signed(stride);
+                            // Ramp span: frontier lead gained per
+                            // full-degree feed.
+                            let span =
+                                st_abs.saturating_mul(u64::from(degree).saturating_sub(1));
+                            if parked {
+                                let pline = p.feed_parked(f, line);
+                                self.issue_prefetches(1, std::slice::from_ref(&pline));
+                            } else if ramp_r >= st_abs as i64
+                                && (ramp_r as u64).saturating_add(span) <= ramp_limit
+                                && self.throttle.denies_run(degree)
+                            {
+                                // Exactly `degree` pushes, all denied:
+                                // O(1) transition, nothing issued.
+                                p.feed_denied(f, line);
+                                self.throttle.consume_denied(degree);
+                                ramp_r += span as i64;
+                                parked = parked_from(ramp_r, st_abs, ramp_limit, degree);
+                            } else {
                                 buf.clear();
-                                locked = p.observe_into(line, &mut buf);
-                                safe_left = 0;
-                                parked = false;
-                                has_ramp = false;
-                                if let Some(f) = locked {
-                                    let next = line.wrapping_add_signed(stride);
-                                    if p.expects(f, next) {
-                                        safe_left = p.capture_free_steps(f, next, stride);
-                                        expect_next = next;
-                                        if let Some((r, limit, d)) = p.ramp_state(f) {
-                                            has_ramp = true;
-                                            ramp_r = r;
-                                            ramp_limit = limit;
-                                            degree = d;
-                                            parked =
-                                                parked_from(ramp_r, st_abs, ramp_limit, degree);
-                                        }
-                                    }
-                                }
+                                p.observe_expected(f, line, &mut buf);
+                                ramp_r = p.ramp_state(f).0;
+                                parked = parked_from(ramp_r, st_abs, ramp_limit, degree);
                                 if !buf.is_empty() {
                                     self.issue_prefetches(1, &buf);
                                 }
                             }
                         }
-                    }
+                        _ => {
+                            buf.clear();
+                            locked = p.observe_into(line, &mut buf);
+                            safe_left = 0;
+                            parked = false;
+                            if let Some(f) = locked {
+                                let next = line.wrapping_add_signed(stride);
+                                if p.expects(f, next) {
+                                    safe_left = p.capture_free_steps(f, next, stride);
+                                    expect_next = next;
+                                    (ramp_r, ramp_limit, degree) = p.ramp_state(f);
+                                    parked = parked_from(ramp_r, st_abs, ramp_limit, degree);
+                                }
+                            }
+                            if !buf.is_empty() {
+                                self.issue_prefetches(1, &buf);
+                            }
+                        }
+                    },
+                    Some(u1) => self.observe_unit(1, u1, line, &mut buf),
+                    None => {}
                 }
                 // Deeper units (inert on every real preset): plain observe.
                 for (k, u) in units.iter_mut().enumerate().skip(2) {
-                    self.observe_unit(k, u.as_mut(), line, &mut buf);
+                    self.observe_unit(k, u, line, &mut buf);
                 }
             }
             line = line.wrapping_add_signed(stride);
@@ -810,7 +793,7 @@ impl Hierarchy {
         }
         HierSnap {
             levels,
-            prefs: self.units.iter().map(|u| u.snapshot()).collect(),
+            prefs: self.units.clone(),
             throttle: self.throttle.clone(),
             stats: self.stats.clone(),
         }
@@ -1058,9 +1041,8 @@ mod tests {
 
     /// Every `PrefetcherConfig` variant installed at both L1 and L2, plus
     /// the zoo platform presets: the run engine must stay bit-identical
-    /// to the scalar path for every [`Prefetcher`] implementation —
-    /// including the conservative implementations that opt out of the
-    /// stream lock entirely.
+    /// to the scalar path for every [`PrefetchUnit`] — the stride tables
+    /// that take the stream lock and the table-free units that never do.
     #[test]
     fn run_engine_matches_scalar_across_the_prefetcher_zoo() {
         let variants = [

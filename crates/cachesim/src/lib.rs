@@ -8,10 +8,11 @@
 //! * set-associative, write-back, (configurable) write-allocate caches
 //!   with true-LRU replacement, built directly from
 //!   [`palo_arch::CacheLevel`] descriptions;
-//! * a **pluggable per-level prefetcher zoo** behind the [`Prefetcher`]
-//!   trait: an L1 next-line streamer (the paper's "fetch the next cache
-//!   line after every reference"), an adjacent-pair (buddy-line) unit, and
-//!   a constant-stride stream-table family with a prefetch degree
+//! * a **per-level prefetcher zoo**, one closed set of units chosen by
+//!   each level's [`palo_arch::PrefetcherConfig`]: an L1 next-line
+//!   streamer (the paper's "fetch the next cache line after every
+//!   reference"), an adjacent-pair (buddy-line) unit, and a
+//!   constant-stride stream-table family with a prefetch degree
 //!   (`L2pref`), a maximum run-ahead distance (`L2maxpref`, 20 lines on
 //!   Intel), a confidence threshold, and an optional unit-stride-only
 //!   (stream) restriction;
@@ -51,9 +52,5 @@ mod strategy;
 pub use cache::{Cache, Eviction};
 pub use error::SimConfigError;
 pub use hierarchy::{AccessKind, AccessRun, Hierarchy, ReplayStats, ServedBy};
-pub use prefetch::StridePrefetcher;
 pub use sink::{CountingSink, CycleSnapshot, LineSink};
 pub use stats::{HierarchyStats, LevelStats};
-pub use strategy::{
-    AdjacentPairPrefetcher, InertPrefetcher, NextLinePrefetcher, PrefetchSnap, Prefetcher,
-};

@@ -2,17 +2,17 @@
 
 /// One tracked access stream.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Stream {
+struct Stream {
     /// Last demand line observed for this stream.
-    pub(crate) last: u64,
+    last: u64,
     /// Detected stride in lines (may be negative).
-    pub(crate) stride: i64,
+    stride: i64,
     /// Consecutive confirmations of `stride`.
-    pub(crate) confidence: u8,
+    confidence: u8,
     /// Furthest line already prefetched for this stream.
-    pub(crate) frontier: u64,
+    frontier: u64,
     /// LRU stamp.
-    pub(crate) stamp: u64,
+    stamp: u64,
 }
 
 /// A stream-table constant-stride prefetcher.
@@ -32,7 +32,7 @@ pub(crate) struct Stream {
 /// table mechanics, so the run engine's steady-state contract holds for
 /// every member of the family.
 #[derive(Debug, Clone)]
-pub struct StridePrefetcher {
+pub(crate) struct StridePrefetcher {
     streams: Vec<Stream>,
     capacity: usize,
     degree: usize,
@@ -55,7 +55,7 @@ pub struct StridePrefetcher {
 impl StridePrefetcher {
     /// Creates a prefetcher with the given degree (`L2pref`) and maximum
     /// run-ahead distance in lines (`L2maxpref`).
-    pub fn new(degree: usize, max_distance: usize) -> Self {
+    pub(crate) fn new(degree: usize, max_distance: usize) -> Self {
         StridePrefetcher {
             streams: Vec::new(),
             capacity: 32,
@@ -71,7 +71,11 @@ impl StridePrefetcher {
 
     /// [`StridePrefetcher::new`] with an explicit confirmation threshold
     /// (the `ConfidentStride` strategy; `new` fixes it at 2).
-    pub fn with_confidence(degree: usize, max_distance: usize, min_confidence: u8) -> Self {
+    pub(crate) fn with_confidence(
+        degree: usize,
+        max_distance: usize,
+        min_confidence: u8,
+    ) -> Self {
         let mut p = Self::new(degree, max_distance);
         p.min_confidence = min_confidence;
         p
@@ -79,7 +83,7 @@ impl StridePrefetcher {
 
     /// A stream-with-confirmation engine (the `Stream` strategy): only
     /// unit-stride streams issue, after `confirm` confirmations.
-    pub fn stream(degree: usize, max_distance: usize, confirm: u8) -> Self {
+    pub(crate) fn stream(degree: usize, max_distance: usize, confirm: u8) -> Self {
         let mut p = Self::with_confidence(degree, max_distance, confirm);
         p.unit_only = true;
         p
@@ -92,18 +96,10 @@ impl StridePrefetcher {
         !self.unit_only || stride.unsigned_abs() == 1
     }
 
-    /// Observes a demand access to `line` and returns the lines to
-    /// prefetch (empty until a stream's stride is confirmed).
-    pub fn observe(&mut self, line: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.observe_into(line, &mut out);
-        out
-    }
-
-    /// Allocation-free [`StridePrefetcher::observe`]: appends prefetch
-    /// lines to `out` and returns the index of the stream the access was
-    /// matched to (`None` when a new stream was allocated or prefetching
-    /// is disabled).
+    /// Observes a demand access to `line`: appends the lines to prefetch
+    /// (none until a stream's stride is confirmed) to `out` and returns
+    /// the index of the stream the access was matched to (`None` when a
+    /// new stream was allocated or prefetching is disabled).
     pub(crate) fn observe_into(&mut self, line: u64, out: &mut Vec<u64>) -> Option<usize> {
         self.clock += 1;
         if self.degree == 0 {
@@ -335,112 +331,43 @@ impl StridePrefetcher {
         self.creations
     }
 
-    /// Whether the table is inert (degree zero): observes then only
-    /// advance the clock.
-    pub(crate) fn disabled(&self) -> bool {
-        self.degree == 0
+    /// Whether this table equals `snap` (a clone taken earlier)
+    /// translated by `t` line addresses: the same allocation count and,
+    /// index by index, the same stride and confidence with `last` and
+    /// `frontier` shifted by `t`. The clock and the LRU stamps are
+    /// ignored: only their relative order is ever read, and a
+    /// creation-free cycle preserves it.
+    pub(crate) fn matches_translated(&self, snap: &StridePrefetcher, t: i64) -> bool {
+        self.creations == snap.creations
+            && self.streams.len() == snap.streams.len()
+            && self.streams.iter().zip(&snap.streams).all(|(c, s)| {
+                c.stride == s.stride
+                    && c.confidence == s.confidence
+                    && c.last == s.last.wrapping_add_signed(t)
+                    && c.frontier == s.frontier.wrapping_add_signed(t)
+            })
     }
 
-    /// Advances the observe clock by `n` without touching the table —
-    /// mirrors `n` degree-zero observes.
-    pub(crate) fn tick(&mut self, n: u64) {
-        self.clock += n;
-    }
-
-    /// Immutable view of the stream table, index order (creation order up
-    /// to `swap_remove` permutations), for state snapshots.
-    pub(crate) fn streams(&self) -> &[Stream] {
-        &self.streams
-    }
-
-    /// Mutable view of the stream table, for state translation.
-    pub(crate) fn streams_mut(&mut self) -> &mut [Stream] {
-        &mut self.streams
-    }
-
-    /// Drops all tracked streams.
-    pub fn reset(&mut self) {
-        self.streams.clear();
-        self.creations = 0;
-    }
-}
-
-impl crate::strategy::Prefetcher for StridePrefetcher {
-    fn box_clone(&self) -> Box<dyn crate::strategy::Prefetcher> {
-        Box::new(self.clone())
-    }
-
-    fn observe_into(&mut self, line: u64, out: &mut Vec<u64>) -> Option<usize> {
-        StridePrefetcher::observe_into(self, line, out)
-    }
-
-    fn expects(&self, i: usize, line: u64) -> bool {
-        StridePrefetcher::expects(self, i, line)
-    }
-
-    fn observe_expected(&mut self, i: usize, line: u64, out: &mut Vec<u64>) {
-        StridePrefetcher::observe_expected(self, i, line, out);
-    }
-
-    fn capture_free_steps(&self, i: usize, next_line: u64, stride: i64) -> u64 {
-        StridePrefetcher::capture_free_steps(self, i, next_line, stride)
-    }
-
-    fn ramp_state(&self, i: usize) -> Option<(i64, u64, u32)> {
-        Some(StridePrefetcher::ramp_state(self, i))
-    }
-
-    fn feed_denied(&mut self, i: usize, line: u64) {
-        StridePrefetcher::feed_denied(self, i, line);
-    }
-
-    fn feed_parked(&mut self, i: usize, line: u64) -> u64 {
-        StridePrefetcher::feed_parked(self, i, line)
-    }
-
-    fn creations(&self) -> u64 {
-        StridePrefetcher::creations(self)
-    }
-
-    fn disabled(&self) -> bool {
-        StridePrefetcher::disabled(self)
-    }
-
-    fn tick(&mut self, n: u64) {
-        StridePrefetcher::tick(self, n);
-    }
-
-    fn reset(&mut self) {
-        StridePrefetcher::reset(self);
-    }
-
-    fn snapshot(&self) -> crate::strategy::PrefetchSnap {
-        crate::strategy::PrefetchSnap(crate::strategy::SnapRepr::Streams {
-            streams: self.streams().to_vec(),
-            creations: self.creations,
-        })
-    }
-
-    fn matches_translated(&self, snap: &crate::strategy::PrefetchSnap, t: i64) -> bool {
-        let crate::strategy::SnapRepr::Streams { streams, creations } = &snap.0 else {
-            return false;
-        };
-        if self.creations != *creations || self.streams.len() != streams.len() {
-            return false;
-        }
-        self.streams.iter().zip(streams).all(|(c, s)| {
-            c.stride == s.stride
-                && c.confidence == s.confidence
-                && c.last == s.last.wrapping_add_signed(t)
-                && c.frontier == s.frontier.wrapping_add_signed(t)
-        })
-    }
-
-    fn translate(&mut self, shift: i64) {
-        for s in self.streams_mut() {
+    /// Translates every stream by `shift` line addresses.
+    pub(crate) fn translate(&mut self, shift: i64) {
+        for s in &mut self.streams {
             s.last = s.last.wrapping_add_signed(shift);
             s.frontier = s.frontier.wrapping_add_signed(shift);
         }
+    }
+
+    /// Drops all tracked streams.
+    pub(crate) fn reset(&mut self) {
+        self.streams.clear();
+        self.creations = 0;
+    }
+
+    /// [`StridePrefetcher::observe_into`] returning the prefetch lines.
+    #[cfg(test)]
+    pub(crate) fn observe(&mut self, line: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.observe_into(line, &mut out);
+        out
     }
 }
 
@@ -627,10 +554,12 @@ mod tests {
     #[test]
     fn capture_free_steps_finds_lower_stream_collision() {
         let mut p = StridePrefetcher::new(1, 20);
-        // Stream 0: stride 10 at last=100 (predicts 110).
+        // Stream 0: allocated at 100, then 110 (within the match window)
+        // sets its stride to 10, so it predicts 120.
         p.observe(100);
-        p.observe(110); // wait — delta 10 within window, stride 10 now
-                        // Stream 1: far away, stride 4 at last=1_000_000.
+        p.observe(110);
+        // Stream 1: allocated far away at 1_000_000, then 1_000_004 sets
+        // its stride to 4, so it predicts 1_000_008.
         p.observe(1_000_000);
         p.observe(1_000_004);
         // Stream 1's lines 1_000_008, 1_000_012, ... never collide with
@@ -639,5 +568,61 @@ mod tests {
         // A sequence that walks straight into the prediction: from 100,
         // stride 5 → 100+4*5 = 120 = stream 0's predicted line.
         assert_eq!(p.capture_free_steps(1, 100, 5), 4);
+    }
+
+    /// A table whose one unit-stride stream is parked at the run-ahead
+    /// limit with saturated confidence: each further feed only shifts it.
+    fn steady_table() -> StridePrefetcher {
+        let mut p = StridePrefetcher::new(2, 4);
+        for line in 0..300u64 {
+            p.observe(line);
+        }
+        assert_eq!(p.streams[0].confidence, u8::MAX);
+        p
+    }
+
+    #[test]
+    fn cycle_match_contract() {
+        // One feed shifted by t = 1 matches the snapshot under t, although
+        // the clock and the stream's stamp moved on.
+        let snap = steady_table();
+        let mut p = snap.clone();
+        p.observe(300);
+        assert_ne!(p.clock, snap.clock);
+        assert_ne!(p.streams[0].stamp, snap.streams[0].stamp);
+        assert!(p.matches_translated(&snap, 1));
+        assert!(!p.matches_translated(&snap, 0));
+        assert!(!p.matches_translated(&snap, 2));
+
+        // A stream allocation in between never matches...
+        let mut q = snap.clone();
+        q.observe(1 << 40);
+        q.observe(300);
+        assert!(!q.matches_translated(&snap, 1));
+        // ...and the allocation counter alone is enough to reject.
+        let mut q = p.clone();
+        q.creations += 1;
+        assert!(!q.matches_translated(&snap, 1));
+
+        // A confidence change rejects: a young stream gains one
+        // confirmation per feed while `last` and `frontier` shift by 1.
+        let mut young = StridePrefetcher::new(1, 20);
+        for line in 0..3u64 {
+            young.observe(line);
+        }
+        let young_snap = young.clone();
+        young.observe(3);
+        assert_eq!(young.streams[0].last, young_snap.streams[0].last + 1);
+        assert_eq!(young.streams[0].frontier, young_snap.streams[0].frontier + 1);
+        assert!(!young.matches_translated(&young_snap, 1));
+        // So does a stride change.
+        let mut q = snap.clone();
+        q.observe(301);
+        assert_eq!(q.streams[0].stride, 2);
+        assert!(!q.matches_translated(&snap, 2));
+
+        // Translating back by -t restores a match at t = 0.
+        p.translate(-1);
+        assert!(p.matches_translated(&snap, 0));
     }
 }

@@ -1,308 +1,148 @@
-//! The pluggable prefetcher strategy layer.
+//! The closed set of prefetch units a cache level can carry.
 //!
-//! [`Hierarchy`](crate::Hierarchy) holds one boxed [`Prefetcher`] per
-//! cache level and drives every implementation through the same three
-//! contracts (DESIGN.md §16):
+//! [`Hierarchy`](crate::Hierarchy) holds one [`PrefetchUnit`] per cache
+//! level and drives every unit through the same two contracts
+//! (DESIGN.md §16):
 //!
 //! 1. **Observe** — on each demand L1 miss, every unit sees the missed
-//!    line via [`Prefetcher::observe_into`] and appends the lines it
+//!    line via [`PrefetchUnit::observe_into`] and appends the lines it
 //!    wants fetched. The hierarchy routes level-0 emissions into L1 and
 //!    level-`k` emissions into levels `k..` bottom-up, through the shared
-//!    accuracy throttle.
-//! 2. **Steady state** — the run-compressed replay engine (PR 5) may
-//!    lock onto a stream via [`Prefetcher::expects`] and feed it through
-//!    the O(1) [`Prefetcher::observe_expected`] /
-//!    [`Prefetcher::feed_denied`] / [`Prefetcher::feed_parked`] paths for
-//!    as long as [`Prefetcher::capture_free_steps`] proves no
-//!    lower-indexed stream can capture the run. Every fast-path
-//!    transition must be *bit-identical* to the scan path it replaces;
-//!    the defaults opt out (`expects` false), which degrades to per-line
-//!    scans and is therefore always correct.
-//! 3. **Translation** — the cycle skipper extrapolates a verified
+//!    accuracy throttle. Only a [`PrefetchUnit::Table`] ever reports a
+//!    stream index, so only a table can take the run engine's
+//!    steady-state stream lock (the O(1) feeds of [`StridePrefetcher`]).
+//! 2. **Translation** — the cycle skipper extrapolates a verified
 //!    steady-state iteration only if every unit's state matches its
-//!    snapshot under a `t`-line translation
-//!    ([`Prefetcher::matches_translated`]). The conservative default
-//!    returns `false`: a strategy that cannot prove its transitions
-//!    commute with translation simply never has cycles skipped, which is
-//!    slower but exact.
+//!    snapshot (a clone of the units) under a `t`-line translation
+//!    ([`PrefetchUnit::matches_translated`]), and then fast-forwards
+//!    with [`PrefetchUnit::translate`].
 
-use crate::prefetch::{Stream, StridePrefetcher};
+use crate::prefetch::StridePrefetcher;
 use palo_arch::PrefetcherConfig;
 
-/// Opaque state image of one prefetcher unit at a steady-state cycle
-/// boundary, produced by [`Prefetcher::snapshot`] and consumed by
-/// [`Prefetcher::matches_translated`].
+/// One hardware prefetching unit attached to a cache level.
 #[derive(Debug, Clone)]
-pub struct PrefetchSnap(pub(crate) SnapRepr);
-
-#[derive(Debug, Clone)]
-pub(crate) enum SnapRepr {
-    /// No translation-sensitive state.
+pub(crate) enum PrefetchUnit {
+    /// Never prefetches. Its state is empty, so cycle matching always
+    /// succeeds.
     Inert,
-    /// A last-observed-line tracker (`u64::MAX` = nothing seen yet).
-    LastLine(u64),
-    /// A stream table plus its allocation counter.
-    Streams { streams: Vec<Stream>, creations: u64 },
+    /// The L1 next-line (DCU) streamer: on an ascending sequential miss
+    /// to line `l`, fetch `l + 1`. "Sequential" means `l` extends (or
+    /// repeats) the previously missed line `last_miss` (`u64::MAX` until
+    /// the first miss) — arbitrary misses do not trigger it.
+    NextLine { last_miss: u64 },
+    /// Adjacent-pair (buddy-line) unit: on every observed miss to line
+    /// `l`, fetch the other half of the aligned two-line sector (`l ^ 1`).
+    AdjacentPair,
+    /// A constant-stride stream table (stride, confident-stride and
+    /// stream strategies).
+    Table(StridePrefetcher),
 }
 
-/// One hardware prefetching unit attached to a cache level.
-///
-/// Only [`Prefetcher::observe_into`], [`Prefetcher::reset`] and
-/// [`Prefetcher::box_clone`] are mandatory; the defaults for the
-/// steady-state and translation hooks are conservative (no stream lock,
-/// no cycle skipping) and keep run-compressed replay bit-identical to
-/// scalar replay for any implementation.
-pub trait Prefetcher: std::fmt::Debug + Send + Sync {
-    /// Clones the unit behind the trait object ([`Hierarchy`]s are
-    /// cloneable).
+impl PrefetchUnit {
+    /// Builds the simulator unit for `cfg` at cache level `level` (0 = L1).
     ///
-    /// [`Hierarchy`]: crate::Hierarchy
-    fn box_clone(&self) -> Box<dyn Prefetcher>;
+    /// The legacy variants keep the seed's exact placement semantics so
+    /// golden statistics stay byte-identical: at L1 only `NextLine` is
+    /// active (the paper's simulator has no L1 stride table, so `Stride`
+    /// at L1 stays inert), while at L2+ `NextLine` degrades to a
+    /// degree-1, distance-1 stride table and `Stride` maps directly. The
+    /// zoo variants are live at any level.
+    pub(crate) fn new(level: usize, cfg: &PrefetcherConfig) -> Self {
+        match (level, cfg) {
+            (_, PrefetcherConfig::None) | (0, PrefetcherConfig::Stride { .. }) => Self::Inert,
+            (0, PrefetcherConfig::NextLine) => Self::NextLine { last_miss: u64::MAX },
+            (_, PrefetcherConfig::NextLine) => Self::Table(StridePrefetcher::new(1, 1)),
+            (_, PrefetcherConfig::Stride { degree, max_distance }) => {
+                Self::Table(StridePrefetcher::new(*degree, *max_distance))
+            }
+            (_, PrefetcherConfig::AdjacentPair) => Self::AdjacentPair,
+            (_, PrefetcherConfig::ConfidentStride { degree, max_distance, min_confidence }) => {
+                Self::Table(StridePrefetcher::with_confidence(
+                    *degree,
+                    *max_distance,
+                    *min_confidence,
+                ))
+            }
+            (_, PrefetcherConfig::Stream { degree, max_distance, confirm }) => {
+                Self::Table(StridePrefetcher::stream(*degree, *max_distance, *confirm))
+            }
+        }
+    }
 
     /// Observes a demand miss to `line`, appends the lines to prefetch,
-    /// and returns the index of the stream the access extended (`None`
-    /// when the unit tracks no streams, allocated a new one, or is
-    /// disabled). Indices returned here key every steady-state hook
-    /// below.
-    fn observe_into(&mut self, line: u64, out: &mut Vec<u64>) -> Option<usize>;
-
-    /// Whether stream `i` exists and predicts exactly `line` — the
-    /// precondition for the O(1) feed paths. The default (`false`) opts
-    /// the unit out of the run engine's stream lock entirely.
-    fn expects(&self, _i: usize, _line: u64) -> bool {
-        false
+    /// and returns the index of the table stream the access extended
+    /// (`None` for table-free units, a new allocation, or a disabled
+    /// table).
+    pub(crate) fn observe_into(&mut self, line: u64, out: &mut Vec<u64>) -> Option<usize> {
+        match self {
+            Self::Inert => None,
+            Self::NextLine { last_miss } => {
+                let sequential = line == last_miss.wrapping_add(1) || line == *last_miss;
+                *last_miss = line;
+                if sequential {
+                    out.push(line + 1);
+                }
+                None
+            }
+            Self::AdjacentPair => {
+                out.push(line ^ 1);
+                None
+            }
+            Self::Table(p) => p.observe_into(line, out),
+        }
     }
 
-    /// Feeds stream `i` a line it is known ([`Prefetcher::expects`]) to
-    /// predict, performing the identical transition the scan-based
-    /// observe would. The default falls back to the full scan, which is
-    /// that identical transition by definition.
-    fn observe_expected(&mut self, _i: usize, line: u64, out: &mut Vec<u64>) {
-        let _ = self.observe_into(line, out);
-    }
-
-    /// How many consecutive lines of the arithmetic sequence starting at
-    /// `next_line` with stride `stride` are safe from capture by a stream
-    /// with index below `i`. The run engine re-scans after this many
-    /// expected feeds; `0` (the default) forces a scan per line.
-    fn capture_free_steps(&self, _i: usize, _next_line: u64, _stride: i64) -> u64 {
-        0
-    }
-
-    /// Ramp-regime view of stream `i` for the run engine's throttle-aware
-    /// fast feeds: `(r, limit, degree)` with `r` the signed frontier
-    /// run-ahead, `limit` the run-ahead cap in lines and `degree` the
-    /// per-feed push budget. `None` (the default) disables the
-    /// [`Prefetcher::feed_denied`] / [`Prefetcher::feed_parked`]
-    /// specialisations.
-    fn ramp_state(&self, _i: usize) -> Option<(i64, u64, u32)> {
-        None
-    }
-
-    /// [`Prefetcher::observe_expected`] specialised to a feed whose
-    /// pushes the caller's throttle arithmetic pre-denied: the identical
-    /// transition with the emitted lines dropped. Only called when
-    /// [`Prefetcher::ramp_state`] returned `Some`; the default
-    /// materialises and drops.
-    fn feed_denied(&mut self, i: usize, line: u64) {
-        let mut dropped = Vec::new();
-        self.observe_expected(i, line, &mut dropped);
-    }
-
-    /// [`Prefetcher::observe_expected`] specialised to a stream parked at
-    /// its run-ahead limit (exactly one line emitted per feed), returning
-    /// that line. Only called when [`Prefetcher::ramp_state`] returned
-    /// `Some`.
-    fn feed_parked(&mut self, i: usize, line: u64) -> u64 {
-        let mut out = Vec::new();
-        self.observe_expected(i, line, &mut out);
-        out.pop().unwrap_or(line)
+    /// Drops all learned state (stream tables, last-line trackers).
+    pub(crate) fn reset(&mut self) {
+        match self {
+            Self::Inert | Self::AdjacentPair => {}
+            Self::NextLine { last_miss } => *last_miss = u64::MAX,
+            Self::Table(p) => p.reset(),
+        }
     }
 
     /// Streams allocated since construction/reset. The cycle skipper
-    /// rejects candidate cycles that allocated (allocation reads absolute
-    /// stamps and permutes table indices); stateless units report 0.
-    fn creations(&self) -> u64 {
-        0
-    }
-
-    /// Whether the unit is configured to do nothing (observes then only
-    /// advance its clock, if any).
-    fn disabled(&self) -> bool {
-        false
-    }
-
-    /// Advances the unit's observe clock by `n` without a table
-    /// transition — mirrors `n` disabled observes.
-    fn tick(&mut self, _n: u64) {}
-
-    /// Drops all learned state (stream tables, last-line trackers).
-    fn reset(&mut self);
-
-    /// Captures the unit's translation-sensitive state for the cycle
-    /// skipper.
-    fn snapshot(&self) -> PrefetchSnap {
-        PrefetchSnap(SnapRepr::Inert)
-    }
-
-    /// Whether the unit's current state equals `snap` translated by `t`
-    /// line addresses. The conservative default (`false`) disables cycle
-    /// skipping whenever this unit is present — exact, just slower — for
-    /// strategies that cannot prove their transitions commute with
-    /// translation.
-    fn matches_translated(&self, _snap: &PrefetchSnap, _t: i64) -> bool {
-        false
-    }
-
-    /// Translates the unit's state by `shift` line addresses (the cycle
-    /// skipper's fast-forward; paired with a prior
-    /// [`Prefetcher::matches_translated`] success).
-    fn translate(&mut self, _shift: i64) {}
-}
-
-impl Clone for Box<dyn Prefetcher> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
-/// A unit that never prefetches (the `PrefetcherConfig::None` strategy).
-/// Its state is empty, so cycle matching always succeeds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InertPrefetcher;
-
-impl Prefetcher for InertPrefetcher {
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(*self)
-    }
-
-    fn observe_into(&mut self, _line: u64, _out: &mut Vec<u64>) -> Option<usize> {
-        None
-    }
-
-    fn disabled(&self) -> bool {
-        true
-    }
-
-    fn reset(&mut self) {}
-
-    fn matches_translated(&self, snap: &PrefetchSnap, _t: i64) -> bool {
-        matches!(snap.0, SnapRepr::Inert)
-    }
-}
-
-/// The L1 next-line (DCU) streamer: on an ascending sequential miss to
-/// line `l`, fetch `l + 1`. "Sequential" means `l` extends (or repeats)
-/// the previously missed line — arbitrary misses do not trigger it.
-#[derive(Debug, Clone)]
-pub struct NextLinePrefetcher {
-    last_miss: u64,
-}
-
-impl NextLinePrefetcher {
-    /// A fresh streamer that has seen no miss yet.
-    pub fn new() -> Self {
-        NextLinePrefetcher { last_miss: u64::MAX }
-    }
-}
-
-impl Default for NextLinePrefetcher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Prefetcher for NextLinePrefetcher {
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
-
-    fn observe_into(&mut self, line: u64, out: &mut Vec<u64>) -> Option<usize> {
-        let sequential = line == self.last_miss.wrapping_add(1) || line == self.last_miss;
-        self.last_miss = line;
-        if sequential {
-            out.push(line + 1);
+    /// rejects candidate cycles that allocated; table-free units report 0.
+    pub(crate) fn creations(&self) -> u64 {
+        match self {
+            Self::Table(p) => p.creations(),
+            _ => 0,
         }
-        None
     }
 
-    fn reset(&mut self) {
-        self.last_miss = u64::MAX;
-    }
-
-    fn snapshot(&self) -> PrefetchSnap {
-        PrefetchSnap(SnapRepr::LastLine(self.last_miss))
-    }
-
-    fn matches_translated(&self, snap: &PrefetchSnap, t: i64) -> bool {
-        match snap.0 {
-            SnapRepr::LastLine(last) => {
+    /// Whether this unit's state equals `snap` (a clone taken earlier)
+    /// translated by `t` line addresses.
+    pub(crate) fn matches_translated(&self, snap: &PrefetchUnit, t: i64) -> bool {
+        match (self, snap) {
+            (Self::Inert, Self::Inert) => true,
+            (Self::NextLine { last_miss }, Self::NextLine { last_miss: last }) => {
                 // The "no miss yet" sentinel does not translate.
                 let want =
-                    if last == u64::MAX { u64::MAX } else { last.wrapping_add_signed(t) };
-                self.last_miss == want
+                    if *last == u64::MAX { u64::MAX } else { last.wrapping_add_signed(t) };
+                *last_miss == want
             }
+            // Stateless, but the buddy map `l ^ 1` only commutes with
+            // translation by *even* t: for odd t the sector parity flips
+            // and extrapolated fills would diverge from real replay.
+            (Self::AdjacentPair, Self::AdjacentPair) => t % 2 == 0,
+            (Self::Table(p), Self::Table(s)) => p.matches_translated(s, t),
             _ => false,
         }
     }
 
-    fn translate(&mut self, shift: i64) {
-        if self.last_miss != u64::MAX {
-            self.last_miss = self.last_miss.wrapping_add_signed(shift);
-        }
-    }
-}
-
-/// Adjacent-pair (buddy-line) unit: on every observed miss to line `l`,
-/// fetch the other half of the aligned two-line sector (`l ^ 1`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdjacentPairPrefetcher;
-
-impl Prefetcher for AdjacentPairPrefetcher {
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(*self)
-    }
-
-    fn observe_into(&mut self, line: u64, out: &mut Vec<u64>) -> Option<usize> {
-        out.push(line ^ 1);
-        None
-    }
-
-    fn reset(&mut self) {}
-
-    fn matches_translated(&self, snap: &PrefetchSnap, t: i64) -> bool {
-        // Stateless, but the buddy map `l ^ 1` only commutes with
-        // translation by *even* t: for odd t the sector parity flips and
-        // extrapolated fills would diverge from real replay. Restricting
-        // cycle skipping to even translations keeps it exact.
-        matches!(snap.0, SnapRepr::Inert) && t % 2 == 0
-    }
-}
-
-/// Builds the simulator unit for `cfg` at cache level `level` (0 = L1).
-///
-/// The legacy variants keep the seed's exact placement semantics so
-/// golden statistics stay byte-identical: at L1 only `NextLine` is
-/// active (the paper's simulator has no L1 stride table, so `Stride` at
-/// L1 stays inert), while at L2+ `NextLine` degrades to a degree-1,
-/// distance-1 stride table and `Stride` maps directly. The zoo variants
-/// are live at any level.
-pub(crate) fn unit_for(level: usize, cfg: &PrefetcherConfig) -> Box<dyn Prefetcher> {
-    match (level, cfg) {
-        (_, PrefetcherConfig::None) | (0, PrefetcherConfig::Stride { .. }) => {
-            Box::new(InertPrefetcher)
-        }
-        (0, PrefetcherConfig::NextLine) => Box::new(NextLinePrefetcher::new()),
-        (_, PrefetcherConfig::NextLine) => Box::new(StridePrefetcher::new(1, 1)),
-        (_, PrefetcherConfig::Stride { degree, max_distance }) => {
-            Box::new(StridePrefetcher::new(*degree, *max_distance))
-        }
-        (_, PrefetcherConfig::AdjacentPair) => Box::new(AdjacentPairPrefetcher),
-        (_, PrefetcherConfig::ConfidentStride { degree, max_distance, min_confidence }) => {
-            Box::new(StridePrefetcher::with_confidence(*degree, *max_distance, *min_confidence))
-        }
-        (_, PrefetcherConfig::Stream { degree, max_distance, confirm }) => {
-            Box::new(StridePrefetcher::stream(*degree, *max_distance, *confirm))
+    /// Translates the unit's state by `shift` line addresses (the cycle
+    /// skipper's fast-forward; paired with a prior
+    /// [`PrefetchUnit::matches_translated`] success).
+    pub(crate) fn translate(&mut self, shift: i64) {
+        match self {
+            Self::Inert | Self::AdjacentPair => {}
+            Self::NextLine { last_miss } => {
+                if *last_miss != u64::MAX {
+                    *last_miss = last_miss.wrapping_add_signed(shift);
+                }
+            }
+            Self::Table(p) => p.translate(shift),
         }
     }
 }
@@ -311,9 +151,13 @@ pub(crate) fn unit_for(level: usize, cfg: &PrefetcherConfig) -> Box<dyn Prefetch
 mod tests {
     use super::*;
 
+    fn next_line() -> PrefetchUnit {
+        PrefetchUnit::new(0, &PrefetcherConfig::NextLine)
+    }
+
     #[test]
     fn next_line_triggers_only_on_sequential_misses() {
-        let mut p = NextLinePrefetcher::new();
+        let mut p = next_line();
         let mut out = Vec::new();
         p.observe_into(100, &mut out);
         assert!(out.is_empty(), "first miss is not sequential");
@@ -328,12 +172,12 @@ mod tests {
 
     #[test]
     fn next_line_snapshot_translates() {
-        let mut p = NextLinePrefetcher::new();
-        let fresh = p.snapshot();
+        let mut p = next_line();
+        let fresh = p.clone();
         assert!(p.matches_translated(&fresh, 7), "MAX sentinel matches any t");
         let mut out = Vec::new();
         p.observe_into(100, &mut out);
-        let snap = p.snapshot();
+        let snap = p.clone();
         p.observe_into(110, &mut out);
         assert!(p.matches_translated(&snap, 10));
         assert!(!p.matches_translated(&snap, 9));
@@ -343,63 +187,43 @@ mod tests {
 
     #[test]
     fn adjacent_pair_fetches_buddy() {
-        let mut p = AdjacentPairPrefetcher;
+        let mut p = PrefetchUnit::AdjacentPair;
         let mut out = Vec::new();
         p.observe_into(100, &mut out);
         p.observe_into(101, &mut out);
         assert_eq!(out, vec![101, 100]);
-        let snap = p.snapshot();
+        let snap = p.clone();
         assert!(p.matches_translated(&snap, 2));
         assert!(!p.matches_translated(&snap, 3), "odd translation flips parity");
     }
 
     #[test]
     fn inert_unit_does_nothing_and_always_matches() {
-        let mut p = InertPrefetcher;
+        let mut p = PrefetchUnit::Inert;
         let mut out = Vec::new();
         assert_eq!(p.observe_into(42, &mut out), None);
         assert!(out.is_empty());
-        assert!(p.disabled());
-        let snap = p.snapshot();
+        let snap = p.clone();
         assert!(p.matches_translated(&snap, 12345));
     }
 
     #[test]
-    fn factory_keeps_legacy_placement() {
+    fn constructor_keeps_legacy_placement() {
         // L1 Stride is inert (the seed had no L1 stride table)...
         let cfg = PrefetcherConfig::Stride { degree: 2, max_distance: 20 };
-        assert!(unit_for(0, &cfg).disabled());
+        assert!(matches!(PrefetchUnit::new(0, &cfg), PrefetchUnit::Inert));
         // ...while the same config at L2 is a live stride table.
-        assert!(!unit_for(1, &cfg).disabled());
-        assert!(unit_for(1, &PrefetcherConfig::None).disabled());
-        assert!(!unit_for(0, &PrefetcherConfig::NextLine).disabled());
-    }
-
-    #[test]
-    fn conservative_defaults_opt_out_of_the_lock() {
-        // A minimal custom strategy: only the mandatory methods. The
-        // defaults must keep it out of the run engine's stream lock and
-        // the cycle skipper.
-        #[derive(Debug, Clone)]
-        struct Custom;
-        impl Prefetcher for Custom {
-            fn box_clone(&self) -> Box<dyn Prefetcher> {
-                Box::new(self.clone())
-            }
-            fn observe_into(&mut self, line: u64, out: &mut Vec<u64>) -> Option<usize> {
-                out.push(line + 3);
-                Some(0)
-            }
-            fn reset(&mut self) {}
-        }
-        let mut c = Custom;
-        assert!(!c.expects(0, 1));
-        assert_eq!(c.capture_free_steps(0, 1, 1), 0);
-        assert!(c.ramp_state(0).is_none());
-        let snap = c.snapshot();
-        assert!(!c.matches_translated(&snap, 0), "default is no cycle skipping");
-        let mut out = Vec::new();
-        c.observe_expected(0, 7, &mut out);
-        assert_eq!(out, vec![10], "default expected feed is the full observe");
+        assert!(matches!(PrefetchUnit::new(1, &cfg), PrefetchUnit::Table(_)));
+        assert!(matches!(PrefetchUnit::new(1, &PrefetcherConfig::None), PrefetchUnit::Inert));
+        assert!(matches!(next_line(), PrefetchUnit::NextLine { .. }));
+        // L2+ NextLine is a degree-1, distance-1 stride table.
+        let PrefetchUnit::Table(mut t) = PrefetchUnit::new(1, &PrefetcherConfig::NextLine)
+        else {
+            panic!("L2 next-line must be a stride table");
+        };
+        t.observe(0);
+        t.observe(1);
+        assert_eq!(t.observe(2), vec![3]);
+        assert_eq!(t.observe(3), vec![4]);
     }
 }

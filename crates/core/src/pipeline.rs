@@ -385,8 +385,10 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns an error only when the nest cannot be processed at all:
-    /// the architecture fails validation, the cache simulator rejects it,
-    /// or every ladder rung — including the program-order nest — fails.
+    /// [`Session::new`] fails ([`PaloError::Arch`] for an inconsistent
+    /// architecture description, [`PaloError::Store`] when the configured
+    /// cache directory cannot be opened), or every ladder rung —
+    /// including the program-order nest — fails.
     /// An optimizer failure alone is *not* an error: the pipeline
     /// degrades and records the failure in the report.
     pub fn run(&self, nest: &LoopNest) -> Result<PipelineOutcome, PaloError> {

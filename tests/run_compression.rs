@@ -9,12 +9,12 @@
 //! proptest-sampled random affine nests, on all six platform presets
 //! (Table 3 plus the prefetcher-zoo trio), and demand equal
 //! [`HierarchyStats`]. A dedicated sweep additionally pins the contract
-//! per [`Prefetcher`] implementation: every `PrefetcherConfig` variant is
-//! installed at both L1 and L2 and replayed through both engines.
+//! per prefetch unit (inert, next-line, adjacent-pair and the stride
+//! table): every [`PrefetcherConfig`] variant is installed at both L1 and
+//! L2 and replayed through both engines.
 //!
 //! [`AccessRun`]: palo::cachesim::AccessRun
 //! [`HierarchyStats`]: palo::cachesim::HierarchyStats
-//! [`Prefetcher`]: palo::cachesim::Prefetcher
 
 use palo::arch::{presets, Architecture, PrefetcherConfig};
 use palo::core::Optimizer;
@@ -32,9 +32,8 @@ fn platforms() -> Vec<Architecture> {
 }
 
 /// One architecture per `PrefetcherConfig` variant, installed at both L1
-/// and L2 of the i7-6700 geometry so each [`palo::cachesim::Prefetcher`]
-/// implementation (and each legacy placement mapping) gets exercised by
-/// the differential gate.
+/// and L2 of the i7-6700 geometry so each prefetch unit (and each legacy
+/// placement mapping) gets exercised by the differential gate.
 fn strategy_zoo() -> Vec<(&'static str, Architecture)> {
     let variants: [(&'static str, PrefetcherConfig); 6] = [
         ("none", PrefetcherConfig::None),
@@ -111,8 +110,8 @@ fn suite_nests_compressed_equals_scalar_on_all_platforms() {
 
 /// Every `PrefetcherConfig` variant at both L1 and L2: the run-compressed
 /// engine must stay bit-identical to the scalar reference for every
-/// [`palo::cachesim::Prefetcher`] implementation, including the
-/// conservative no-skip fallbacks.
+/// prefetch unit: the stride tables that take the run engine's stream
+/// lock and the table-free units that never do.
 #[test]
 fn every_prefetcher_strategy_compressed_equals_scalar() {
     for (name, arch) in &strategy_zoo() {
