@@ -102,7 +102,7 @@ impl Cache {
     /// `line % nsets` without a hardware division: a mask for
     /// power-of-two set counts, Lemire's direct remainder (exact for
     /// operands below 2^32) otherwise, falling back to `%` only for
-    /// addresses wrapped past 2^32 by the cycle skipper's translation.
+    /// line addresses at or above 2^32.
     #[inline]
     fn set_index(&self, line: u64) -> usize {
         if self.set_mask != u64::MAX {
@@ -320,51 +320,6 @@ impl Cache {
         self.meta.fill(0);
         self.stamp = 0;
     }
-
-    /// Number of sets (crate-internal: set-phase arithmetic and state
-    /// translation in the run engine).
-    pub(crate) fn set_count(&self) -> usize {
-        self.nsets
-    }
-
-    /// Appends this cache's resident lines of set `set`, oldest first, as
-    /// `(addr, flags)` pairs — recency *order* without the absolute
-    /// stamps, which drift between otherwise-identical steady-state
-    /// iterations.
-    pub(crate) fn set_entries_by_recency(&self, set: usize, out: &mut Vec<(u64, u64)>) {
-        let base = set * self.ways;
-        let from = out.len();
-        for i in base..base + self.ways {
-            if self.meta[i] != 0 {
-                out.push((self.meta[i], self.addrs[i]));
-            }
-        }
-        out[from..].sort_unstable();
-        for e in &mut out[from..] {
-            *e = (e.1, e.0 & FLAG_BITS);
-        }
-    }
-
-    /// Translates the whole cache image by `lines` line addresses: every
-    /// resident address shifts by `lines`, and set contents rotate
-    /// accordingly (set index is `addr % nsets`). Recency stamps are
-    /// preserved per line. Used by the steady-state cycle skipper to
-    /// advance the cache image one period at a time in O(capacity).
-    pub(crate) fn translate(&mut self, lines: i64) {
-        let n = self.nsets as i64;
-        let shift = lines.rem_euclid(n) as usize;
-        for i in 0..self.addrs.len() {
-            if self.meta[i] != 0 {
-                self.addrs[i] = self.addrs[i].wrapping_add_signed(lines);
-            }
-        }
-        if shift != 0 {
-            // Rotate set chunks: the lines of old set s now live in set
-            // (s + shift) % nsets.
-            self.addrs.rotate_right(shift * self.ways);
-            self.meta.rotate_right(shift * self.ways);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -471,24 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn translate_shifts_addresses_and_sets() {
-        let mut c = Cache::new(4, 2);
-        c.fill(1, true, false);
-        c.fill(6, false, true);
-        c.translate(3);
-        assert!(c.probe(4));
-        assert!(c.probe(9));
-        assert!(!c.probe(1));
-        assert_eq!(c.occupancy(), 2);
-        // Flags survive the shift.
-        assert!(c.access(9, false).first_prefetch_use);
-        assert_eq!(c.fill(8, false, false), Eviction::None);
-        let mut recency = Vec::new();
-        c.set_entries_by_recency(0, &mut recency);
-        assert_eq!(recency, vec![(4, DIRTY), (8, 0)]);
-    }
-
-    #[test]
     fn set_index_matches_modulo_for_all_geometries() {
         for sets in [1usize, 3, 5, 48, 64, 4096, 12288, 20480] {
             let c = Cache::new(sets, 1);
@@ -531,14 +468,5 @@ mod tests {
         for line in 0..12u64 {
             assert_eq!(a.probe(line), b.probe(line), "line {line}");
         }
-    }
-
-    #[test]
-    fn translate_negative_wraps_sets() {
-        let mut c = Cache::new(4, 1);
-        c.fill(0, false, false);
-        c.translate(-1);
-        assert!(c.probe(u64::MAX)); // 0 - 1 wraps; set = MAX % 4 = 3
-        assert_eq!(c.occupancy(), 1);
     }
 }

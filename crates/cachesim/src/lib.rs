@@ -20,9 +20,11 @@
 //!   bandwidth-side line transfer (write-combining).
 //!
 //! The simulator is line-granular: callers feed it demand accesses via
-//! [`Hierarchy::access`] or the batched [`Hierarchy::access_range`], and
-//! read per-level [`LevelStats`] plus a latency-weighted cycle estimate
-//! back out.
+//! [`Hierarchy::access`], the batched [`Hierarchy::access_range`] or the
+//! run-compressed [`Hierarchy::access_run`], and read per-level
+//! [`LevelStats`] plus a latency-weighted cycle estimate back out. Every
+//! line is simulated; a run is one event for many lines, with
+//! statistics bit-identical to feeding those lines one at a time.
 //!
 //! # Examples
 //!
@@ -52,5 +54,5 @@ mod strategy;
 pub use cache::{Cache, Eviction};
 pub use error::SimConfigError;
 pub use hierarchy::{AccessKind, AccessRun, Hierarchy, ReplayStats, ServedBy};
-pub use sink::{CountingSink, CycleSnapshot, LineSink};
+pub use sink::{CountingSink, LineSink};
 pub use stats::{HierarchyStats, LevelStats};

@@ -29,8 +29,8 @@ struct Stream {
 /// *confident-stride* strategy, and `unit_only` restricts issuing to
 /// unit-stride streams, which is the *stream-with-confirmation* engine
 /// styled after AMD L2 units. All knob settings share the identical
-/// table mechanics, so the run engine's steady-state contract holds for
-/// every member of the family.
+/// table mechanics, so the run engine's stream lock holds for every
+/// member of the family.
 #[derive(Debug, Clone)]
 pub(crate) struct StridePrefetcher {
     streams: Vec<Stream>,
@@ -45,11 +45,6 @@ pub(crate) struct StridePrefetcher {
     min_confidence: u8,
     /// When set, only unit-stride (±1 line) streams ever issue.
     unit_only: bool,
-    /// Streams allocated since construction/reset. The run engine's
-    /// steady-state detector requires a creation-free cycle: allocation
-    /// is the only event that reads absolute stamps (LRU victim choice)
-    /// and permutes table indices (`swap_remove`).
-    creations: u64,
 }
 
 impl StridePrefetcher {
@@ -65,7 +60,6 @@ impl StridePrefetcher {
             match_window: 64,
             min_confidence: 2,
             unit_only: false,
-            creations: 0,
         }
     }
 
@@ -159,7 +153,6 @@ impl StridePrefetcher {
                         .expect("capacity > 0");
                     self.streams.swap_remove(oldest);
                 }
-                self.creations += 1;
                 self.streams.push(Stream {
                     last: line,
                     stride: 0,
@@ -326,40 +319,9 @@ impl StridePrefetcher {
         safe
     }
 
-    /// Streams allocated so far (see the `creations` field).
-    pub(crate) fn creations(&self) -> u64 {
-        self.creations
-    }
-
-    /// Whether this table equals `snap` (a clone taken earlier)
-    /// translated by `t` line addresses: the same allocation count and,
-    /// index by index, the same stride and confidence with `last` and
-    /// `frontier` shifted by `t`. The clock and the LRU stamps are
-    /// ignored: only their relative order is ever read, and a
-    /// creation-free cycle preserves it.
-    pub(crate) fn matches_translated(&self, snap: &StridePrefetcher, t: i64) -> bool {
-        self.creations == snap.creations
-            && self.streams.len() == snap.streams.len()
-            && self.streams.iter().zip(&snap.streams).all(|(c, s)| {
-                c.stride == s.stride
-                    && c.confidence == s.confidence
-                    && c.last == s.last.wrapping_add_signed(t)
-                    && c.frontier == s.frontier.wrapping_add_signed(t)
-            })
-    }
-
-    /// Translates every stream by `shift` line addresses.
-    pub(crate) fn translate(&mut self, shift: i64) {
-        for s in &mut self.streams {
-            s.last = s.last.wrapping_add_signed(shift);
-            s.frontier = s.frontier.wrapping_add_signed(shift);
-        }
-    }
-
     /// Drops all tracked streams.
     pub(crate) fn reset(&mut self) {
         self.streams.clear();
-        self.creations = 0;
     }
 
     /// [`StridePrefetcher::observe_into`] returning the prefetch lines.
@@ -466,7 +428,6 @@ mod tests {
         }
         // The first stream was evicted; re-observing shouldn't match it.
         assert!(p.observe(1).is_empty());
-        assert_eq!(p.creations(), 41);
     }
 
     #[test]
@@ -568,61 +529,5 @@ mod tests {
         // A sequence that walks straight into the prediction: from 100,
         // stride 5 → 100+4*5 = 120 = stream 0's predicted line.
         assert_eq!(p.capture_free_steps(1, 100, 5), 4);
-    }
-
-    /// A table whose one unit-stride stream is parked at the run-ahead
-    /// limit with saturated confidence: each further feed only shifts it.
-    fn steady_table() -> StridePrefetcher {
-        let mut p = StridePrefetcher::new(2, 4);
-        for line in 0..300u64 {
-            p.observe(line);
-        }
-        assert_eq!(p.streams[0].confidence, u8::MAX);
-        p
-    }
-
-    #[test]
-    fn cycle_match_contract() {
-        // One feed shifted by t = 1 matches the snapshot under t, although
-        // the clock and the stream's stamp moved on.
-        let snap = steady_table();
-        let mut p = snap.clone();
-        p.observe(300);
-        assert_ne!(p.clock, snap.clock);
-        assert_ne!(p.streams[0].stamp, snap.streams[0].stamp);
-        assert!(p.matches_translated(&snap, 1));
-        assert!(!p.matches_translated(&snap, 0));
-        assert!(!p.matches_translated(&snap, 2));
-
-        // A stream allocation in between never matches...
-        let mut q = snap.clone();
-        q.observe(1 << 40);
-        q.observe(300);
-        assert!(!q.matches_translated(&snap, 1));
-        // ...and the allocation counter alone is enough to reject.
-        let mut q = p.clone();
-        q.creations += 1;
-        assert!(!q.matches_translated(&snap, 1));
-
-        // A confidence change rejects: a young stream gains one
-        // confirmation per feed while `last` and `frontier` shift by 1.
-        let mut young = StridePrefetcher::new(1, 20);
-        for line in 0..3u64 {
-            young.observe(line);
-        }
-        let young_snap = young.clone();
-        young.observe(3);
-        assert_eq!(young.streams[0].last, young_snap.streams[0].last + 1);
-        assert_eq!(young.streams[0].frontier, young_snap.streams[0].frontier + 1);
-        assert!(!young.matches_translated(&young_snap, 1));
-        // So does a stride change.
-        let mut q = snap.clone();
-        q.observe(301);
-        assert_eq!(q.streams[0].stride, 2);
-        assert!(!q.matches_translated(&snap, 2));
-
-        // Translating back by -t restores a match at t = 0.
-        p.translate(-1);
-        assert!(p.matches_translated(&snap, 0));
     }
 }

@@ -8,29 +8,10 @@
 //!
 //! Two event shapes exist: byte ranges ([`LineSink::access_range`], the
 //! original contract) and run-compressed constant-stride line runs
-//! ([`LineSink::access_run`]), plus an optional steady-state cycle
-//! protocol ([`LineSink::cycle_snapshot`] / [`LineSink::cycle_matches`] /
-//! [`LineSink::apply_cycles`]) that lets the walker skip iterations whose
-//! effect on the sink is a pure translation.
+//! ([`LineSink::access_run`]). A sink sees every line of the trace; none
+//! is skipped or extrapolated.
 
-use crate::hierarchy::{AccessKind, AccessRun, HierSnap, Hierarchy};
-
-/// Opaque sink state captured at a candidate steady-state cycle
-/// boundary. Produced by [`LineSink::cycle_snapshot`] and consumed by
-/// [`LineSink::cycle_matches`] / [`LineSink::apply_cycles`].
-#[derive(Debug)]
-pub struct CycleSnapshot {
-    kind: SnapKind,
-}
-
-#[derive(Debug)]
-enum SnapKind {
-    /// For sinks whose behaviour is state-free (pure counting): only the
-    /// counters at snapshot time.
-    Trivial { lines: u64, runs: u64 },
-    /// Full hierarchy image.
-    Hier(Box<HierSnap>),
-}
+use crate::hierarchy::{AccessKind, AccessRun, Hierarchy};
 
 /// A consumer of line-granular memory traffic.
 ///
@@ -63,42 +44,6 @@ pub trait LineSink {
 
     /// Line size in bytes the sink accounts with.
     fn line_size(&self) -> usize;
-
-    /// Resets any cached state before a fresh walk (cache contents,
-    /// stream tables); counters may be kept.
-    fn flush(&mut self) {}
-
-    /// Whether this sink implements the steady-state cycle protocol.
-    /// When `false` (the default) the walker never calls the three
-    /// methods below.
-    fn supports_cycle_skip(&self) -> bool {
-        false
-    }
-
-    /// Cheap fingerprint of the traffic consumed since the previous
-    /// probe. The walker compares consecutive per-iteration fingerprints
-    /// to *guess* a steady-state period; equality here proves nothing —
-    /// [`LineSink::cycle_matches`] is the exactness gate.
-    fn replay_probe(&mut self) -> u64 {
-        0
-    }
-
-    /// Captures the sink state at a cycle boundary.
-    fn cycle_snapshot(&self) -> Option<CycleSnapshot> {
-        None
-    }
-
-    /// Whether the current state equals `snap` translated by
-    /// `lines_delta` line addresses.
-    fn cycle_matches(&self, _snap: &CycleSnapshot, _lines_delta: i64) -> bool {
-        false
-    }
-
-    /// Fast-forwards `cycles` repetitions of the verified cycle (the
-    /// traffic between `snap` and the current state): counters advance by
-    /// `cycles` times the delta and internal state translates by
-    /// `lines_delta * cycles`.
-    fn apply_cycles(&mut self, _snap: &CycleSnapshot, _lines_delta: i64, _cycles: u64) {}
 }
 
 impl LineSink for Hierarchy {
@@ -117,35 +62,6 @@ impl LineSink for Hierarchy {
     fn line_size(&self) -> usize {
         Hierarchy::line_size(self)
     }
-
-    fn flush(&mut self) {
-        Hierarchy::flush(self);
-    }
-
-    fn supports_cycle_skip(&self) -> bool {
-        true
-    }
-
-    fn replay_probe(&mut self) -> u64 {
-        self.stats_probe()
-    }
-
-    fn cycle_snapshot(&self) -> Option<CycleSnapshot> {
-        Some(CycleSnapshot { kind: SnapKind::Hier(Box::new(self.cycle_snapshot_impl())) })
-    }
-
-    fn cycle_matches(&self, snap: &CycleSnapshot, lines_delta: i64) -> bool {
-        match &snap.kind {
-            SnapKind::Hier(h) => self.cycle_matches_impl(h, lines_delta),
-            SnapKind::Trivial { .. } => false,
-        }
-    }
-
-    fn apply_cycles(&mut self, snap: &CycleSnapshot, lines_delta: i64, cycles: u64) {
-        if let SnapKind::Hier(h) = &snap.kind {
-            self.apply_cycles_impl(h, lines_delta, cycles);
-        }
-    }
 }
 
 /// A sink that only counts: how many lines (and batched access events) a
@@ -156,21 +72,13 @@ pub struct CountingSink {
     line_bits: u32,
     lines: u64,
     runs: u64,
-    probe_lines: u64,
-    probe_runs: u64,
 }
 
 impl CountingSink {
     /// A counter for `line_size`-byte lines (must be a power of two).
     pub fn new(line_size: usize) -> Self {
         let ls = line_size.max(1).next_power_of_two();
-        CountingSink {
-            line_bits: ls.trailing_zeros(),
-            lines: 0,
-            runs: 0,
-            probe_lines: 0,
-            probe_runs: 0,
-        }
+        CountingSink { line_bits: ls.trailing_zeros(), lines: 0, runs: 0 }
     }
 
     /// Lines counted so far.
@@ -210,34 +118,6 @@ impl LineSink for CountingSink {
     fn line_size(&self) -> usize {
         1 << self.line_bits
     }
-
-    fn supports_cycle_skip(&self) -> bool {
-        true
-    }
-
-    fn replay_probe(&mut self) -> u64 {
-        let d = (self.lines - self.probe_lines) ^ (self.runs - self.probe_runs).rotate_left(32);
-        self.probe_lines = self.lines;
-        self.probe_runs = self.runs;
-        d
-    }
-
-    fn cycle_snapshot(&self) -> Option<CycleSnapshot> {
-        Some(CycleSnapshot { kind: SnapKind::Trivial { lines: self.lines, runs: self.runs } })
-    }
-
-    fn cycle_matches(&self, snap: &CycleSnapshot, _lines_delta: i64) -> bool {
-        // A pure counter has no state the traffic depends on, so any
-        // repeating iteration pattern is a true cycle.
-        matches!(snap.kind, SnapKind::Trivial { .. })
-    }
-
-    fn apply_cycles(&mut self, snap: &CycleSnapshot, _lines_delta: i64, cycles: u64) {
-        if let SnapKind::Trivial { lines, runs } = snap.kind {
-            self.lines += (self.lines - lines) * cycles;
-            self.runs += (self.runs - runs) * cycles;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,28 +148,6 @@ mod tests {
         assert_eq!(c.lines_issued(), h.lines_issued());
         assert_eq!(c.lines_issued(), 33);
         assert_eq!(c.runs(), 1);
-    }
-
-    #[test]
-    fn counting_sink_cycles_are_trivially_exact() {
-        let mut c = CountingSink::new(64);
-        c.access_range(0, 640, AccessKind::Load); // 10 lines
-        let snap = c.cycle_snapshot().expect("counting sink snapshots");
-        c.access_range(640, 640, AccessKind::Load); // one cycle: 10 lines
-        assert!(c.cycle_matches(&snap, 10));
-        c.apply_cycles(&snap, 10, 4);
-        assert_eq!(c.lines(), 60);
-        assert_eq!(c.runs(), 6);
-    }
-
-    #[test]
-    fn hierarchy_sink_flush_clears_contents() {
-        let mut h = Hierarchy::from_architecture(&presets::intel_i7_6700());
-        LineSink::access_range(&mut h, 0, 64, AccessKind::Load);
-        LineSink::flush(&mut h);
-        // After a flush the same line misses again.
-        let s = h.access(0, AccessKind::Load);
-        assert_eq!(s.level, h.num_levels());
     }
 
     #[test]

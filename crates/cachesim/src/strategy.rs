@@ -1,21 +1,14 @@
 //! The closed set of prefetch units a cache level can carry.
 //!
 //! [`Hierarchy`](crate::Hierarchy) holds one [`PrefetchUnit`] per cache
-//! level and drives every unit through the same two contracts
-//! (DESIGN.md §16):
-//!
-//! 1. **Observe** — on each demand L1 miss, every unit sees the missed
-//!    line via [`PrefetchUnit::observe_into`] and appends the lines it
-//!    wants fetched. The hierarchy routes level-0 emissions into L1 and
-//!    level-`k` emissions into levels `k..` bottom-up, through the shared
-//!    accuracy throttle. Only a [`PrefetchUnit::Table`] ever reports a
-//!    stream index, so only a table can take the run engine's
-//!    steady-state stream lock (the O(1) feeds of [`StridePrefetcher`]).
-//! 2. **Translation** — the cycle skipper extrapolates a verified
-//!    steady-state iteration only if every unit's state matches its
-//!    snapshot (a clone of the units) under a `t`-line translation
-//!    ([`PrefetchUnit::matches_translated`]), and then fast-forwards
-//!    with [`PrefetchUnit::translate`].
+//! level and drives every unit through one contract (DESIGN.md §16):
+//! on each demand L1 miss, every unit sees the missed line via
+//! [`PrefetchUnit::observe_into`] and appends the lines it wants
+//! fetched. The hierarchy routes level-0 emissions into L1 and level-`k`
+//! emissions into levels `k..` bottom-up, through the shared accuracy
+//! throttle. Only a [`PrefetchUnit::Table`] ever reports a stream index,
+//! so only a table can take the run engine's stream lock (the O(1) feeds
+//! of [`StridePrefetcher`]).
 
 use crate::prefetch::StridePrefetcher;
 use palo_arch::PrefetcherConfig;
@@ -23,8 +16,7 @@ use palo_arch::PrefetcherConfig;
 /// One hardware prefetching unit attached to a cache level.
 #[derive(Debug, Clone)]
 pub(crate) enum PrefetchUnit {
-    /// Never prefetches. Its state is empty, so cycle matching always
-    /// succeeds.
+    /// Never prefetches.
     Inert,
     /// The L1 next-line (DCU) streamer: on an ascending sequential miss
     /// to line `l`, fetch `l + 1`. "Sequential" means `l` extends (or
@@ -101,50 +93,6 @@ impl PrefetchUnit {
             Self::Table(p) => p.reset(),
         }
     }
-
-    /// Streams allocated since construction/reset. The cycle skipper
-    /// rejects candidate cycles that allocated; table-free units report 0.
-    pub(crate) fn creations(&self) -> u64 {
-        match self {
-            Self::Table(p) => p.creations(),
-            _ => 0,
-        }
-    }
-
-    /// Whether this unit's state equals `snap` (a clone taken earlier)
-    /// translated by `t` line addresses.
-    pub(crate) fn matches_translated(&self, snap: &PrefetchUnit, t: i64) -> bool {
-        match (self, snap) {
-            (Self::Inert, Self::Inert) => true,
-            (Self::NextLine { last_miss }, Self::NextLine { last_miss: last }) => {
-                // The "no miss yet" sentinel does not translate.
-                let want =
-                    if *last == u64::MAX { u64::MAX } else { last.wrapping_add_signed(t) };
-                *last_miss == want
-            }
-            // Stateless, but the buddy map `l ^ 1` only commutes with
-            // translation by *even* t: for odd t the sector parity flips
-            // and extrapolated fills would diverge from real replay.
-            (Self::AdjacentPair, Self::AdjacentPair) => t % 2 == 0,
-            (Self::Table(p), Self::Table(s)) => p.matches_translated(s, t),
-            _ => false,
-        }
-    }
-
-    /// Translates the unit's state by `shift` line addresses (the cycle
-    /// skipper's fast-forward; paired with a prior
-    /// [`PrefetchUnit::matches_translated`] success).
-    pub(crate) fn translate(&mut self, shift: i64) {
-        match self {
-            Self::Inert | Self::AdjacentPair => {}
-            Self::NextLine { last_miss } => {
-                if *last_miss != u64::MAX {
-                    *last_miss = last_miss.wrapping_add_signed(shift);
-                }
-            }
-            Self::Table(p) => p.translate(shift),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,40 +119,20 @@ mod tests {
     }
 
     #[test]
-    fn next_line_snapshot_translates() {
-        let mut p = next_line();
-        let fresh = p.clone();
-        assert!(p.matches_translated(&fresh, 7), "MAX sentinel matches any t");
-        let mut out = Vec::new();
-        p.observe_into(100, &mut out);
-        let snap = p.clone();
-        p.observe_into(110, &mut out);
-        assert!(p.matches_translated(&snap, 10));
-        assert!(!p.matches_translated(&snap, 9));
-        p.translate(-10);
-        assert!(p.matches_translated(&snap, 0));
-    }
-
-    #[test]
     fn adjacent_pair_fetches_buddy() {
         let mut p = PrefetchUnit::AdjacentPair;
         let mut out = Vec::new();
         p.observe_into(100, &mut out);
         p.observe_into(101, &mut out);
         assert_eq!(out, vec![101, 100]);
-        let snap = p.clone();
-        assert!(p.matches_translated(&snap, 2));
-        assert!(!p.matches_translated(&snap, 3), "odd translation flips parity");
     }
 
     #[test]
-    fn inert_unit_does_nothing_and_always_matches() {
+    fn inert_unit_does_nothing() {
         let mut p = PrefetchUnit::Inert;
         let mut out = Vec::new();
         assert_eq!(p.observe_into(42, &mut out), None);
         assert!(out.is_empty());
-        let snap = p.clone();
-        assert!(p.matches_translated(&snap, 12345));
     }
 
     #[test]

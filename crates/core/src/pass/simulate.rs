@@ -71,8 +71,7 @@ impl Pass for SimulatePass {
         let deadline = budget.deadline.map(|d| d.saturating_sub(cx.ctl.start().elapsed()));
         let max_lines =
             if cx.ctl.faults().trace_overflow { Some(0) } else { budget.max_trace_lines };
-        let opts =
-            TraceOptions { flush_first: true, max_lines, deadline, run_compressed: true };
+        let opts = TraceOptions { max_lines, deadline, run_compressed: true };
         let estimate =
             catch_panic("simulator", || estimate_time_with(nest, lowered, cx.arch, &opts))??;
         Ok(SimulateArtifact { estimate })

@@ -12,7 +12,6 @@ use palo_ir::{StableHash, StableHasher};
 
 impl StableHash for TraceOptions {
     fn stable_hash(&self, h: &mut StableHasher) {
-        self.flush_first.stable_hash(h);
         self.max_lines.stable_hash(h);
         match self.deadline {
             None => h.write_u8(0),

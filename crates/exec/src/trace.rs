@@ -6,20 +6,15 @@
 //! constant-stride walks into run-compressed [`LineSink::access_run`]
 //! events (line-granular), which keeps tracing of multi-hundred-megabyte
 //! iteration spaces tractable while preserving the per-line
-//! demand/prefetch behaviour the paper's analysis is about. On top of
-//! run compression, simple non-innermost loops are watched for
-//! *steady-state cycles*: when consecutive iterations produce the same
-//! per-iteration fingerprint and the sink proves its state repeats up to
-//! a line translation, the remaining iterations are applied analytically
-//! ([`LineSink::apply_cycles`]) instead of being walked. Both layers are
-//! exact — statistics are bit-identical to the scalar walk, which stays
-//! available via [`TraceOptions::run_compressed`] `= false` as the
-//! differential-testing reference. The production sink is the cache
-//! simulator ([`Hierarchy`]); a [`palo_cachesim::CountingSink`] sizes a
-//! trace without simulating it.
+//! demand/prefetch behaviour the paper's analysis is about. Run
+//! compression is exact — statistics are bit-identical to the scalar
+//! walk, which stays available via [`TraceOptions::run_compressed`]
+//! `= false` as the differential-testing reference. The production sink
+//! is the cache simulator ([`Hierarchy`]); a
+//! [`palo_cachesim::CountingSink`] sizes a trace without simulating it.
 
 use crate::error::TraceError;
-use palo_cachesim::{AccessKind, AccessRun, CycleSnapshot, Hierarchy, LineSink};
+use palo_cachesim::{AccessKind, AccessRun, Hierarchy, LineSink};
 use palo_ir::{Access, LoopNest};
 use palo_sched::LoweredNest;
 use std::time::{Duration, Instant};
@@ -27,8 +22,6 @@ use std::time::{Duration, Instant};
 /// Options for a trace run.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceOptions {
-    /// Flush caches and stream tables before tracing (cold start).
-    pub flush_first: bool,
     /// Abort with [`TraceError::LineBudgetExceeded`] once the trace has
     /// issued this many line accesses (`None` = unlimited).
     pub max_lines: Option<u64>,
@@ -36,21 +29,16 @@ pub struct TraceOptions {
     /// for this long (`None` = unlimited). Checked coarsely (every few
     /// thousand walk steps), so overrun is bounded but not zero.
     pub deadline: Option<Duration>,
-    /// Use the run-compressed replay engine (batched [`AccessRun`]
-    /// events plus steady-state cycle skipping). Statistics are
-    /// bit-identical either way; `false` forces the scalar reference
-    /// path and exists for differential testing and debugging.
+    /// Use the run-compressed replay engine (constant-stride walks sent
+    /// as batched [`AccessRun`] events). Statistics are bit-identical
+    /// either way; `false` forces the scalar reference path and exists
+    /// for differential testing and debugging.
     pub run_compressed: bool,
 }
 
 impl Default for TraceOptions {
     fn default() -> Self {
-        TraceOptions {
-            flush_first: true,
-            max_lines: None,
-            deadline: None,
-            run_compressed: true,
-        }
+        TraceOptions { max_lines: None, deadline: None, run_compressed: true }
     }
 }
 
@@ -75,12 +63,8 @@ struct Walker<'a> {
     /// Whether the line size is a power of two (required by the
     /// run-compression shift arithmetic).
     line_pow2: bool,
-    /// Emit run-compressed events and watch for steady-state cycles.
+    /// Emit run-compressed events.
     compressed: bool,
-    /// Per-depth count of failed cycle verifications; a depth that burns
-    /// [`MAX_VERIFY_FAILS`] attempts stops snapshotting for the rest of
-    /// the trace (snapshots and state compares are O(cache capacity)).
-    cycle_fails: Vec<u32>,
     /// Absolute `total_accesses` threshold (entry count + budget).
     line_limit: Option<u64>,
     /// The configured budget, for the error report.
@@ -102,72 +86,6 @@ const DEADLINE_CHECK_INTERVAL: u32 = 4096;
 /// scalar-path granularity.
 const RUN_CHUNK: u64 = 4096;
 
-/// Largest steady-state period the cycle detector will propose.
-const MAX_PERIOD: usize = 128;
-
-/// Per-iteration fingerprints retained for period guessing.
-const PROBE_WINDOW: usize = 256;
-
-/// Minimum trip count of a loop before cycle detection is attempted.
-const MIN_CYCLE_STEPS: usize = 8;
-
-/// Failed state verifications before a loop depth gives up on cycle
-/// detection for the rest of the trace. Generous because warm-up defeats
-/// early attempts by design: fingerprints go periodic as soon as the
-/// traffic does (streaming misses look alike immediately), but the state
-/// only becomes translation-periodic once every cache level has wrapped.
-/// The exponential attempt back-off makes the later, post-warm-up
-/// attempts cheap enough to afford.
-const MAX_VERIFY_FAILS: u32 = 6;
-
-/// Watches the per-iteration fingerprint stream of one simple loop for a
-/// repeating period, then asks the sink to verify that a whole period
-/// really is a state translation before any iteration is skipped.
-/// Detection is heuristic; *only* [`LineSink::cycle_matches`] gates
-/// skipping, so a wrong guess costs time, never accuracy.
-struct CycleDetector {
-    probes: Vec<u64>,
-    state: DetectorState,
-    fails: u32,
-    /// No snapshot before this step — exponential back-off after failed
-    /// verifications, so attempts straddle the warm-up instead of all
-    /// burning out inside it.
-    cooldown_until: usize,
-}
-
-enum DetectorState {
-    /// Accumulating fingerprints, looking for a candidate period.
-    Watch,
-    /// A candidate period `p` was found and the sink state snapshotted;
-    /// `left` more iterations complete the candidate cycle.
-    Verify { snap: CycleSnapshot, p: usize, left: usize, lines_at_snap: u64 },
-    /// Detection abandoned (or a skip already applied) for this loop.
-    Off,
-}
-
-impl CycleDetector {
-    fn new(fails: u32) -> Self {
-        let state =
-            if fails >= MAX_VERIFY_FAILS { DetectorState::Off } else { DetectorState::Watch };
-        CycleDetector { probes: Vec::new(), state, fails, cooldown_until: 0 }
-    }
-
-    fn push_probe(&mut self, probe: u64) {
-        if self.probes.len() == 2 * PROBE_WINDOW {
-            self.probes.drain(..PROBE_WINDOW);
-        }
-        self.probes.push(probe);
-    }
-
-    /// Smallest period `p` such that the last `p` fingerprints repeat the
-    /// `p` before them.
-    fn find_period(&self) -> Option<usize> {
-        let n = self.probes.len();
-        (1..=MAX_PERIOD.min(n / 2))
-            .find(|&p| self.probes[n - p..] == self.probes[n - 2 * p..n - p])
-    }
-}
-
 /// Streams every memory reference of `lowered` (a schedule of `nest`)
 /// into the cache simulator `hier`. Equivalent to [`trace_stream`] with a
 /// [`Hierarchy`] sink.
@@ -185,7 +103,8 @@ pub fn trace_into(
 }
 
 /// Streams every memory reference of `lowered` (a schedule of `nest`)
-/// into `sink`, one batched contiguous run at a time.
+/// into `sink`, one batched contiguous run at a time. The sink is used
+/// as it is: pass a freshly built one for a cold-start trace.
 ///
 /// Array base addresses are assigned sequentially, page-aligned, with one
 /// guard page between arrays, mirroring what a real allocator does for
@@ -204,9 +123,6 @@ pub fn trace_stream<S: LineSink>(
     sink: &mut S,
     opts: &TraceOptions,
 ) -> Result<(), TraceError> {
-    if opts.flush_first {
-        sink.flush();
-    }
     let dts = nest.dtype().size_bytes() as i64;
     let nvars = nest.vars().len();
 
@@ -261,7 +177,6 @@ pub fn trace_stream<S: LineSink>(
         line,
         line_pow2: line.count_ones() == 1,
         compressed: opts.run_compressed,
-        cycle_fails: vec![0; lowered.loops().len()],
         line_limit: opts.max_lines.map(|m| sink.lines_issued().saturating_add(m)),
         max_lines: opts.max_lines.unwrap_or(u64::MAX),
         deadline_at: opts.deadline.map(|d| Instant::now() + d),
@@ -334,9 +249,6 @@ impl Walker<'_> {
             if innermost {
                 return self.issue_innermost(d, steps, sink);
             }
-            if let Some(delta) = self.cycle_delta(d, steps, sink) {
-                return self.walk_cyclic(d, steps, v, stride, delta, sink);
-            }
             for _ in 0..steps {
                 self.walk(d + 1, sink)?;
                 self.values[v] += stride;
@@ -390,148 +302,6 @@ impl Walker<'_> {
                     a.addr -= addr_deltas[ai];
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Byte delta per iteration of simple loop `d` when the loop is
-    /// eligible for steady-state cycle detection, else `None`.
-    ///
-    /// Eligibility requires that one iteration's traffic is an exact
-    /// translation of the previous one: every access must advance by the
-    /// *same* byte delta (so the whole address image shifts uniformly),
-    /// the delta must be whole lines (so the shift is a line
-    /// translation; zero is fine — pure repetition), and no other loop
-    /// at any depth may drive this loop's variable (otherwise descendant
-    /// guard clamping would vary across iterations).
-    fn cycle_delta<S: LineSink>(&self, d: usize, steps: usize, sink: &S) -> Option<i64> {
-        if !self.compressed
-            || !self.line_pow2
-            || steps < MIN_CYCLE_STEPS
-            || !sink.supports_cycle_skip()
-        {
-            return None;
-        }
-        let v = self.loops[d].contribs[0].var.index();
-        for (j, l) in self.loops.iter().enumerate() {
-            if j != d && l.contribs.iter().any(|c| c.var.index() == v) {
-                return None;
-            }
-        }
-        let mut delta: Option<i64> = None;
-        for a in &self.accesses {
-            let da = a.loop_deltas[d]?;
-            match delta {
-                None => delta = Some(da),
-                Some(x) if x == da => {}
-                _ => return None,
-            }
-        }
-        let delta = delta?;
-        if delta % self.line != 0 {
-            return None;
-        }
-        Some(delta)
-    }
-
-    /// Walks simple loop `d` (every access advancing `delta` bytes per
-    /// iteration) while watching for steady-state cycles. Identical to
-    /// the plain walk until the sink *proves* a candidate cycle is a
-    /// state translation, at which point the remaining whole cycles are
-    /// applied analytically and skipped.
-    fn walk_cyclic<S: LineSink>(
-        &mut self,
-        d: usize,
-        steps: usize,
-        v: usize,
-        stride: i64,
-        delta: i64,
-        sink: &mut S,
-    ) -> Result<(), TraceError> {
-        let t_iter = delta / self.line;
-        let mut det = CycleDetector::new(self.cycle_fails[d]);
-        let mut step = 0usize;
-        while step < steps {
-            self.walk(d + 1, sink)?;
-            self.values[v] += stride;
-            for a in &mut self.accesses {
-                a.addr += delta;
-            }
-            step += 1;
-            match std::mem::replace(&mut det.state, DetectorState::Off) {
-                DetectorState::Off => {}
-                DetectorState::Watch => {
-                    let probe = sink.replay_probe();
-                    det.push_probe(probe);
-                    det.state = DetectorState::Watch;
-                    if step >= det.cooldown_until {
-                        if let Some(p) = det.find_period() {
-                            // Only worth snapshotting if, after the p
-                            // verification iterations, at least one whole
-                            // cycle would remain to skip.
-                            if steps - step >= 2 * p {
-                                if let Some(snap) = sink.cycle_snapshot() {
-                                    det.state = DetectorState::Verify {
-                                        snap,
-                                        p,
-                                        left: p,
-                                        lines_at_snap: sink.lines_issued(),
-                                    };
-                                }
-                            }
-                        }
-                    }
-                }
-                DetectorState::Verify { snap, p, mut left, lines_at_snap } => {
-                    let probe = sink.replay_probe();
-                    left -= 1;
-                    if left > 0 {
-                        det.push_probe(probe);
-                        det.state = DetectorState::Verify { snap, p, left, lines_at_snap };
-                        continue;
-                    }
-                    let t_total = t_iter * p as i64;
-                    let lines_per_cycle = sink.lines_issued() - lines_at_snap;
-                    if sink.cycle_matches(&snap, t_total) {
-                        let mut m = (steps - step) as u64 / p as u64;
-                        if let (Some(limit), true) = (self.line_limit, lines_per_cycle > 0) {
-                            // Let the skip cross the budget by at most one
-                            // cycle so the guard still fires promptly.
-                            let room = limit.saturating_sub(sink.lines_issued());
-                            m = m.min(room / lines_per_cycle + 1);
-                        }
-                        if t_total != 0 {
-                            // Keep the accumulated translation far from
-                            // i64 overflow.
-                            m = m.min(((1u64 << 62) / t_total.unsigned_abs()).max(1));
-                        }
-                        if m > 0 {
-                            sink.apply_cycles(&snap, t_total, m);
-                            let skipped = (m * p as u64) as usize;
-                            self.values[v] += stride * skipped as i64;
-                            for a in &mut self.accesses {
-                                a.addr += delta * skipped as i64;
-                            }
-                            step += skipped;
-                        }
-                        // det.state stays Off: one skip per loop entry.
-                    } else {
-                        det.fails += 1;
-                        self.cycle_fails[d] = det.fails;
-                        if det.fails < MAX_VERIFY_FAILS {
-                            det.cooldown_until =
-                                step.saturating_add((p << det.fails).min(1 << 16));
-                            det.push_probe(probe);
-                            det.state = DetectorState::Watch;
-                        }
-                    }
-                }
-            }
-        }
-        // restore
-        self.values[v] -= stride * steps as i64;
-        for a in &mut self.accesses {
-            a.addr -= delta * steps as i64;
         }
         Ok(())
     }
@@ -819,12 +589,28 @@ mod tests {
         TraceOptions { run_compressed: false, ..TraceOptions::default() }
     }
 
-    /// Traces `lowered` twice per preset — run-compressed and scalar —
-    /// and asserts bit-identical statistics.
+    /// Two small prefetcher-free levels: a streaming walk wraps both
+    /// within a few rows, so a copy soon repeats its per-row traffic
+    /// under a line translation.
+    fn tiny_two_level() -> palo_arch::Architecture {
+        let mut arch = presets::intel_i7_6700();
+        arch.caches.truncate(2);
+        arch.caches[0].size_bytes = 4 * 1024;
+        arch.caches[0].prefetcher = palo_arch::PrefetcherConfig::None;
+        arch.caches[1].size_bytes = 16 * 1024;
+        arch.caches[1].prefetcher = palo_arch::PrefetcherConfig::None;
+        arch
+    }
+
+    /// Traces `lowered` twice per architecture — run-compressed and
+    /// scalar — and asserts bit-identical statistics.
     fn assert_compressed_matches_scalar(nest: &LoopNest, lowered: &LoweredNest) {
-        for arch in
-            [presets::intel_i7_6700(), presets::intel_i7_5930k(), presets::arm_cortex_a15()]
-        {
+        for arch in [
+            presets::intel_i7_6700(),
+            presets::intel_i7_5930k(),
+            presets::arm_cortex_a15(),
+            tiny_two_level(),
+        ] {
             let mut hc = Hierarchy::from_architecture(&arch);
             trace_into(nest, lowered, &mut hc, &TraceOptions::default()).unwrap();
             let mut hs = Hierarchy::from_architecture(&arch);
@@ -835,9 +621,10 @@ mod tests {
 
     #[test]
     fn compressed_replay_matches_scalar_program_order() {
-        let nest = matmul(48);
-        let lowered = Schedule::new().lower(&nest).unwrap();
-        assert_compressed_matches_scalar(&nest, &lowered);
+        for nest in [matmul(48), copy_nest(128)] {
+            let lowered = Schedule::new().lower(&nest).unwrap();
+            assert_compressed_matches_scalar(&nest, &lowered);
+        }
     }
 
     #[test]
@@ -861,46 +648,12 @@ mod tests {
     }
 
     #[test]
-    fn cycle_skip_fires_and_stays_exact() {
-        // Two small prefetcher-free levels wrap quickly, so the copy
-        // reaches its translation-steady state early and the detector
-        // must skip most rows — with statistics identical to the scalar
-        // walk's.
-        let mut arch = presets::intel_i7_6700();
-        arch.caches.truncate(2);
-        arch.caches[0].size_bytes = 4 * 1024;
-        arch.caches[0].prefetcher = palo_arch::PrefetcherConfig::None;
-        arch.caches[1].size_bytes = 16 * 1024;
-        arch.caches[1].prefetcher = palo_arch::PrefetcherConfig::None;
-        let nest = copy_nest(128);
-        let lowered = Schedule::new().lower(&nest).unwrap();
-
-        let mut hc = Hierarchy::from_architecture(&arch);
-        trace_into(&nest, &lowered, &mut hc, &TraceOptions::default()).unwrap();
-        let skipped = hc.replay_stats();
-        assert!(skipped.cycles_skipped > 0, "no cycles skipped: {skipped:?}");
-        assert!(skipped.lines_skipped > 0);
-
-        let mut hs = Hierarchy::from_architecture(&arch);
-        trace_into(&nest, &lowered, &mut hs, &scalar_opts()).unwrap();
-        assert_eq!(hs.replay_stats().cycles_skipped, 0);
-        assert_eq!(hc.stats(), hs.stats());
-    }
-
-    #[test]
-    fn cycle_skip_respects_line_budget() {
-        // Same steady-state copy, but with a line budget: skipping may
-        // overshoot the budget by at most one cycle, and the guard must
-        // still abort the trace.
-        let mut arch = presets::intel_i7_6700();
-        arch.caches.truncate(2);
-        arch.caches[0].size_bytes = 4 * 1024;
-        arch.caches[0].prefetcher = palo_arch::PrefetcherConfig::None;
-        arch.caches[1].size_bytes = 16 * 1024;
-        arch.caches[1].prefetcher = palo_arch::PrefetcherConfig::None;
+    fn line_budget_holds_on_steady_copy() {
+        // The guard must abort a long steady-state copy close to the
+        // budget, far from the 8192 lines of the full walk.
         let nest = copy_nest(256);
         let lowered = Schedule::new().lower(&nest).unwrap();
-        let mut hier = Hierarchy::from_architecture(&arch);
+        let mut hier = Hierarchy::from_architecture(&tiny_two_level());
         let opts = TraceOptions { max_lines: Some(1000), ..TraceOptions::default() };
         let err = trace_into(&nest, &lowered, &mut hier, &opts).unwrap_err();
         assert_eq!(err, TraceError::LineBudgetExceeded { limit: 1000 });
@@ -931,6 +684,17 @@ mod tests {
         assert_eq!(r.run_lines, hier.stats().total_accesses);
         // B[k][j] walks a row per k step: far fewer run events than lines.
         assert!(r.runs < r.run_lines / 4, "runs={} lines={}", r.runs, r.run_lines);
+
+        // A steady-state copy is replayed line by line too: nothing is
+        // skipped, and every line still arrives through an event.
+        let nest = copy_nest(128);
+        let lowered = Schedule::new().lower(&nest).unwrap();
+        let mut hier = Hierarchy::from_architecture(&tiny_two_level());
+        trace_into(&nest, &lowered, &mut hier, &TraceOptions::default()).unwrap();
+        let r = hier.replay_stats();
+        assert_eq!(r.cycles_skipped, 0);
+        assert_eq!(r.lines_skipped, 0);
+        assert_eq!(r.run_lines, hier.stats().total_accesses);
     }
 
     #[test]

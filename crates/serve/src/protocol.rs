@@ -276,7 +276,8 @@ pub struct NestResult {
     /// Per-pass wall-clock totals of this run.
     pub passes: Vec<PassTotal>,
     /// Replay-engine telemetry of the simulation, when it ran:
-    /// `[runs, run_lines, cycles_skipped, lines_skipped]`.
+    /// `[runs, run_lines, cycles_skipped, lines_skipped]` (the last two
+    /// are always 0; see `ReplayStats` in `palo-cachesim`).
     pub replay: Option<[u64; 4]>,
     /// Failures recorded while descending the ladder (rendered).
     pub failures: Vec<String>,

@@ -35,7 +35,7 @@
 //!
 //! `--profile` (implies `--estimate`) prints, per nest, the per-pass
 //! wall-clock breakdown of the run plus the replay engine's run/line
-//! compression and cycle-skip telemetry.
+//! compression telemetry.
 //!
 //! `--batch` routes the whole suite (or one kernel) through the
 //! [`palo::serve`] serving core: one warm [`Session`] (shared
@@ -253,9 +253,8 @@ fn print_profile(report: &PipelineReport) {
         let r = &est.replay;
         let lines_per_run = if r.runs > 0 { r.run_lines as f64 / r.runs as f64 } else { 0.0 };
         println!(
-            "//   replay: {} lines in {} batched events ({lines_per_run:.1} lines/event), \
-             {} steady-state cycles skipped ({} lines)",
-            r.run_lines, r.runs, r.cycles_skipped, r.lines_skipped
+            "//   replay: {} lines in {} batched events ({lines_per_run:.1} lines/event)",
+            r.run_lines, r.runs
         );
     }
 }
@@ -293,12 +292,11 @@ fn print_profile_nest(n: &NestResult) {
             p.pass, p.ms, p.requests, p.cached
         );
     }
-    if let Some([runs, run_lines, cycles_skipped, lines_skipped]) = n.replay {
+    if let Some([runs, run_lines, ..]) = n.replay {
         let lines_per_run = if runs > 0 { run_lines as f64 / runs as f64 } else { 0.0 };
         println!(
             "//   replay: {run_lines} lines in {runs} batched events \
-             ({lines_per_run:.1} lines/event), {cycles_skipped} steady-state cycles \
-             skipped ({lines_skipped} lines)"
+             ({lines_per_run:.1} lines/event)"
         );
     }
 }

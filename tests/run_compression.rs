@@ -1,14 +1,13 @@
 //! Differential gate for the run-compressed replay engine.
 //!
-//! The cache hierarchy's batched [`AccessRun`] path and the trace
-//! walker's steady-state cycle skipping are *performance* features: by
-//! contract they must be bit-identical to the scalar per-line reference
-//! path on every statistic the simulator reports. These tests drive both
-//! engines over the full evaluation suite (every benchmark nest, both the
-//! program-order schedule and the optimizer's proposed schedule) and over
-//! proptest-sampled random affine nests, on all six platform presets
-//! (Table 3 plus the prefetcher-zoo trio), and demand equal
-//! [`HierarchyStats`]. A dedicated sweep additionally pins the contract
+//! The cache hierarchy's batched [`AccessRun`] path is a *performance*
+//! feature: by contract it must be bit-identical to the scalar per-line
+//! reference path on every statistic the simulator reports. These tests
+//! drive both engines over the full evaluation suite (every benchmark
+//! nest, both the program-order schedule and the optimizer's proposed
+//! schedule) and over proptest-sampled random affine nests, on all six
+//! platform presets (Table 3 plus the prefetcher-zoo trio), and demand
+//! equal [`HierarchyStats`]. A dedicated sweep additionally pins the contract
 //! per prefetch unit (inert, next-line, adjacent-pair and the stride
 //! table): every [`PrefetcherConfig`] variant is installed at both L1 and
 //! L2 and replayed through both engines.
@@ -193,7 +192,7 @@ proptest! {
     }
 
     /// Strided streaming copies (row-major walk of a column-major array
-    /// and vice versa) — the patterns the cycle skipper locks onto.
+    /// and vice versa) — the whole-line strided runs of the run engine.
     #[test]
     fn random_strided_copies_compressed_equals_scalar(
         n in 8usize..64,
